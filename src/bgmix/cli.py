@@ -17,6 +17,7 @@ import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -24,7 +25,7 @@ from scipy import __version__ as _scipy_version
 
 from . import __version__
 from .model import (ChainConfig, Dataset, DynamicGamma, FixedGamma, FixedK,
-                    RandomK, SparseK, build_default_prior)
+                    RandomK, build_default_prior)
 from .postprocess import (EmptySelectionError, IdentificationError,
                           filter_to_kplus, kplus_distribution, map_partition,
                           posterior_summary, ppr_identify, vi_partition,
@@ -143,7 +144,7 @@ def load_dataset(path, features=None, label_col=None):
 # configuration
 
 
-_MODES = {"fixed-k": "fixed_k", "sfm": "sfm", "mfm": "telescoping"}
+_MODES = ("fixed-k", "sfm", "mfm")
 
 _CONFIG_KEYS = {
     "data", "mode", "k", "gamma", "alpha", "bnb", "kmax", "kinit", "iters",
@@ -243,24 +244,21 @@ def _resolve_fit_config(args):
 
 
 def _build_run(cfg):
-    """Turn a resolved config dict into (dataset, prior, chain_config, mode)."""
+    """Turn a resolved config dict into (dataset, prior, chain_config)."""
     data = load_dataset(cfg["data"], cfg["features"], cfg["label_col"])
-    mode = _MODES[cfg["mode"]]
     try:
-        if mode == "fixed_k":
-            gamma_spec = FixedGamma(cfg["gamma"])
-            k_prior = FixedK(int(cfg["k"]))
-        elif mode == "sfm":
-            gamma_spec = FixedGamma(cfg["gamma"])
-            k_prior = SparseK(int(cfg["k"]), cfg["gamma"])
-        else:
+        # sfm is fixed-k with other defaults; only mfm puts a prior on K
+        if cfg["mode"] == "mfm":
             a_l, a_pi, b_pi = cfg["bnb"]
             k_prior = RandomK(a_l, a_pi, b_pi, k_max=int(cfg["kmax"]),
                               k_init=int(cfg["kinit"]))
-            if cfg["alpha"] is not None:
-                gamma_spec = DynamicGamma(cfg["alpha"])
-            else:
-                gamma_spec = FixedGamma(cfg["gamma"])
+        else:
+            k_prior = FixedK(int(cfg["k"]))
+        # the resolved config sets exactly one of gamma and alpha
+        if cfg["gamma"] is not None:
+            gamma_spec = FixedGamma(cfg["gamma"])
+        else:
+            gamma_spec = DynamicGamma(cfg["alpha"])
         prior = build_default_prior(data, c=cfg["c"], phi=cfg["phi"],
                                     gamma_spec=gamma_spec, k_prior=k_prior)
         chain_cfg = ChainConfig(n_iter=int(cfg["iters"]),
@@ -271,7 +269,7 @@ def _build_run(cfg):
                                 thinning=int(cfg["thin"]))
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    return data, prior, chain_cfg, mode
+    return data, prior, chain_cfg
 
 
 # ---------------------------------------------------------------------------
@@ -282,19 +280,15 @@ def _fmt(v):
     return repr(float(v))
 
 
-def _tri_indices(r):
-    return [(i, j) for i in range(r) for j in range(i + 1)]
-
-
 def write_draws(path, records, r):
     """One row per stored sweep; rows carry their own K, header spans max K."""
     kmax = max(rec.K for rec in records)
-    tri = _tri_indices(r)
+    il, jl = np.tril_indices(r)
     header = ["iter", "K", "K_plus"]
     header += [f"eta_{k+1}" for k in range(kmax)]
     header += [f"mu_{k+1}_{d+1}" for k in range(kmax) for d in range(r)]
     header += [f"sigma_{k+1}_{i+1}_{j+1}" for k in range(kmax)
-               for (i, j) in tri]
+               for i, j in zip(il, jl)]
     header += [f"N_{k+1}" for k in range(kmax)]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -303,8 +297,7 @@ def write_draws(path, records, r):
             row = [rec.iter, rec.K, rec.K_plus]
             row += [_fmt(v) for v in rec.eta]
             row += [_fmt(v) for v in rec.mu.ravel()]
-            row += [_fmt(rec.Sigma[k, i, j]) for k in range(rec.K)
-                    for (i, j) in tri]
+            row += [_fmt(v) for v in rec.Sigma[:, il, jl].ravel()]
             row += [int(v) for v in rec.N_k]
             writer.writerow(row)
 
@@ -332,6 +325,14 @@ def write_trace(path, trace):
             if mu1 is not None:
                 for k in range(mu1.shape[1]):
                     writer.writerow([it, f"mu_{k+1}_1", _fmt(mu1[it, k])])
+
+
+def _write_partition(path, labels):
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["index", "label"])
+        for i, lab in enumerate(labels, start=1):
+            writer.writerow([i, int(lab)])
 
 
 def _write_json_atomic(path, payload):
@@ -364,11 +365,11 @@ def parse_draws(path):
     r = sum(1 for name in header if name.startswith("mu_1_"))
     if r < 1:
         raise UnreadableInputError(f"{path}: no mu columns in header")
-    tri = _tri_indices(r)
+    il, jl = np.tril_indices(r)
+    ntri = il.size
     records = []
     for row in body:
         it, K, kplus = int(row[0]), int(row[1]), int(row[2])
-        ntri = len(tri)
         need = 3 + K * (1 + r + ntri + 1)
         if len(row) < need:
             raise UnreadableInputError(
@@ -379,13 +380,10 @@ def parse_draws(path):
         pos += K
         mu = np.array([float(v) for v in row[pos:pos + K * r]]).reshape(K, r)
         pos += K * r
+        tri = np.array([float(v) for v in row[pos:pos + K * ntri]])
+        pos += K * ntri
         Sigma = np.zeros((K, r, r))
-        for k in range(K):
-            for (i, j) in tri:
-                val = float(row[pos])
-                pos += 1
-                Sigma[k, i, j] = val
-                Sigma[k, j, i] = val
+        Sigma[:, il, jl] = Sigma[:, jl, il] = tri.reshape(K, ntri)
         N_k = np.array([int(row[pos + k]) for k in range(K)])
         records.append(SweepRecord(iter=it, K=K, K_plus=kplus, eta=eta, mu=mu,
                                    Sigma=Sigma, N_k=N_k, S=None,
@@ -420,14 +418,9 @@ def _chain_suffix(i, chains):
 
 def _fit_one(cfg, chain_idx, out_dir):
     """Run one chain of a resolved config and write its artifacts."""
-    data, prior, base_cfg, mode = _build_run(cfg)
-    chain_cfg = ChainConfig(
-        n_iter=base_cfg.n_iter, burn_in=base_cfg.burn_in,
-        seed=base_cfg.seed + chain_idx,
-        store_assignments=base_cfg.store_assignments,
-        permutation_step=base_cfg.permutation_step,
-        thinning=base_cfg.thinning)
-    out = run_chain(data, prior, chain_cfg, mode)
+    data, prior, base_cfg = _build_run(cfg)
+    chain_cfg = replace(base_cfg, seed=base_cfg.seed + chain_idx)
+    out = run_chain(data, prior, chain_cfg)
     suffix = _chain_suffix(chain_idx, cfg["chains"])
     paths = {"draws": os.path.join(out_dir, f"draws{suffix}.csv"),
              "trace": os.path.join(out_dir, f"trace{suffix}.csv")}
@@ -457,7 +450,8 @@ def cmd_fit(args):
     if cfg["chains"] == 1:
         results.append(_fit_one(cfg, 0, out_dir))
     else:
-        with ProcessPoolExecutor(max_workers=cfg["chains"]) as pool:
+        workers = min(cfg["chains"], os.cpu_count() or 1)
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [pool.submit(_fit_one, cfg, i, out_dir)
                        for i in range(cfg["chains"])]
             results = [f.result() for f in futures]
@@ -497,6 +491,8 @@ def _default_assignments_path(draws_path):
 
 
 def cmd_identify(args):
+    if args.vi_thin < 1:
+        raise ConfigError(f"--vi-thin must be at least 1, not {args.vi_thin}")
     records = parse_draws(args.draws)
     assignments_path = args.assignments or _default_assignments_path(args.draws)
     if assignments_path is not None:
@@ -528,18 +524,17 @@ def cmd_identify(args):
             writer.writerow([k, _fmt(freq)])
 
     r = summary.mean_mu.shape[1]
-    tri = _tri_indices(r)
+    il, jl = np.tril_indices(r)
     with open(paths["cluster_summary"], "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["cluster", "mean_size", "mean_eta"]
                         + [f"mean_mu_{d+1}" for d in range(r)]
-                        + [f"mean_sigma_{i+1}_{j+1}" for (i, j) in tri])
+                        + [f"mean_sigma_{i+1}_{j+1}" for i, j in zip(il, jl)])
         for rank, k in enumerate(summary.report_order, start=1):
             writer.writerow([rank, _fmt(summary.mean_N_k[k]),
                              _fmt(summary.mean_eta[k])]
                             + [_fmt(v) for v in summary.mean_mu[k]]
-                            + [_fmt(summary.mean_Sigma[k, i, j])
-                               for (i, j) in tri])
+                            + [_fmt(v) for v in summary.mean_Sigma[k, il, jl]])
 
     if identified.S is None:
         raise IdentificationError(
@@ -547,21 +542,13 @@ def cmd_identify(args):
             "--store-assignments to extract partitions")
     part_map = map_partition(identified.S)
     paths["partition_map"] = os.path.join(out_dir, "partition_map.csv")
-    with open(paths["partition_map"], "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["index", "label"])
-        for i, lab in enumerate(part_map.labels, start=1):
-            writer.writerow([i, int(lab)])
+    _write_partition(paths["partition_map"], part_map.labels)
 
     if not args.no_vi:
         S_all = np.array([rec.S for rec in records])
         part_vi = vi_partition(S_all, thin_to=args.vi_thin)
         paths["partition_vi"] = os.path.join(out_dir, "partition_vi.csv")
-        with open(paths["partition_vi"], "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["index", "label"])
-            for i, lab in enumerate(part_vi.labels, start=1):
-                writer.writerow([i, int(lab)])
+        _write_partition(paths["partition_vi"], part_vi.labels)
 
     manifest_path = os.path.join(out_dir, "identify_manifest.json")
     paths["manifest"] = manifest_path

@@ -74,7 +74,7 @@ def _lloyd(points, centers, max_iter):
     return centers, labels, float(d2own.sum())
 
 
-def kmeans(points, k, rng, max_iter=100, n_restarts=10, init_centers=None):
+def kmeans(points, k, rng, max_iter=100, n_restarts=10):
     """Best-of-restarts k-means.
 
     Parameters
@@ -90,9 +90,6 @@ def kmeans(points, k, rng, max_iter=100, n_restarts=10, init_centers=None):
     n_restarts : int
         Independent seedings; the minimum-inertia run wins, ties going to
         the earliest restart.
-    init_centers : ndarray, optional
-        Explicit (k, d) starting centers; runs a single Lloyd pass and
-        ignores the seeding machinery.
 
     Returns
     -------
@@ -106,16 +103,12 @@ def kmeans(points, k, rng, max_iter=100, n_restarts=10, init_centers=None):
     if k < 1:
         raise ValueError("k must be at least 1")
 
-    if init_centers is not None:
-        centers, labels, inertia = _lloyd(points, np.asarray(init_centers, float),
-                                          max_iter)
-    else:
-        best = None
-        for _ in range(n_restarts):
-            seeded = _seed_plus_plus(points, k, rng)
-            result = _lloyd(points, seeded, max_iter)
-            if best is None or result[2] < best[2]:
-                best = result
-        centers, labels, inertia = best
+    best = None
+    for _ in range(n_restarts):
+        seeded = _seed_plus_plus(points, k, rng)
+        result = _lloyd(points, seeded, max_iter)
+        if best is None or result[2] < best[2]:
+            best = result
+    centers, labels, inertia = best
     return KMeansResult(centers=centers, labels=labels, inertia=inertia,
                         n_nonempty=int(np.unique(labels).size))

@@ -70,17 +70,6 @@ def sample_categorical(p, rng):
     return int(min(idx, p.size - 1))
 
 
-def sample_mvnormal(b, B, rng):
-    """Draw from N(b, B) via the Cholesky factor of B."""
-    b = np.asarray(b, dtype=float)
-    B = np.asarray(B, dtype=float)
-    try:
-        L = np.linalg.cholesky(B)
-    except np.linalg.LinAlgError as exc:
-        raise ValueError("covariance must be positive definite") from exc
-    return b + L @ rng.standard_normal(b.shape[0])
-
-
 def sample_mvnormal_batch(b, B, rng):
     """Draw one N(b[k], B[k]) vector for each k; b is (m, r), B is (m, r, r)."""
     b = np.asarray(b, dtype=float)
@@ -90,12 +79,12 @@ def sample_mvnormal_batch(b, B, rng):
     return b + np.einsum("kij,kj->ki", L, z)
 
 
-def _bartlett_batch(alpha, V, rng):
+def sample_wishart_batch(alpha, V, rng):
     """Stacked W(alpha[k], V[k]) draws via the Bartlett decomposition.
 
-    Degrees of freedom 2*alpha need not be integer: the diagonal uses
-    chi-square draws with df = 2*alpha - i for row i, the strict lower
-    triangle standard normals.
+    alpha is (m,), V is (m, r, r). Degrees of freedom 2*alpha need not
+    be integer: the diagonal uses chi-square draws with df = 2*alpha - i
+    for row i, the strict lower triangle standard normals.
     """
     alpha = np.asarray(alpha, dtype=float)
     V = np.asarray(V, dtype=float)
@@ -118,12 +107,8 @@ def _bartlett_batch(alpha, V, rng):
 
 def sample_wishart(params, rng):
     """Draw one matrix from W(alpha, V) in the convention of this module."""
-    return _bartlett_batch(np.array([params.alpha]), params.V[None, :, :], rng)[0]
-
-
-def sample_wishart_batch(alpha, V, rng):
-    """Stacked W(alpha[k], V[k]) draws; alpha is (m,), V is (m, r, r)."""
-    return _bartlett_batch(alpha, V, rng)
+    return sample_wishart_batch(np.array([params.alpha]), params.V[None],
+                                rng)[0]
 
 
 def sample_inv_wishart(params, rng):
@@ -133,7 +118,7 @@ def sample_inv_wishart(params, rng):
 
 def sample_inv_wishart_batch(alpha, V, rng):
     """Stacked W^-1(alpha[k], V[k]) draws."""
-    return np.linalg.inv(_bartlett_batch(alpha, V, rng))
+    return np.linalg.inv(sample_wishart_batch(alpha, V, rng))
 
 
 def log_mvnormal_density(y, mu, Sigma):
@@ -179,15 +164,6 @@ def log_mvnormal_density_batch(Y, mu, Sigma):
     logdet = 2.0 * np.sum(np.log(L[:, ii, ii]), axis=1)       # (K,)
     out = -0.5 * (r * np.log(2.0 * np.pi) + logdet[:, None] + maha)
     return out.T
-
-
-def log_multivariate_gamma(alpha, r):
-    """Log of Gamma_r(alpha) = pi^(r(r-1)/4) * prod_j Gamma((2*alpha + 1 - j)/2)."""
-    j = np.arange(1, r + 1)
-    args = (2.0 * alpha + 1.0 - j) / 2.0
-    if np.any(args <= 0):
-        raise ValueError("every gamma argument (2*alpha + 1 - j)/2 must be positive")
-    return r * (r - 1) / 4.0 * np.log(np.pi) + np.sum(gammaln(args))
 
 
 def bnb_log_pmf(k_minus_1, a_l, a_pi, b_pi):

@@ -53,14 +53,16 @@ class DynamicGamma:
 
 @dataclass(frozen=True)
 class FixedK:
+    """K components throughout the chain.
+
+    With a small FixedGamma this is the sparse finite mixture: K is set
+    generously and superfluous components empty out.
+    """
     K: int
 
-
-@dataclass(frozen=True)
-class SparseK:
-    """Deliberately overfitted mixture: K components, tiny fixed gamma."""
-    K: int
-    gamma: float
+    def __post_init__(self):
+        if self.K < 1:
+            raise ValueError("K must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -74,6 +76,13 @@ class RandomK:
     b_pi: float
     k_max: int = 100
     k_init: int = 10
+
+    def __post_init__(self):
+        if not (self.a_l > 0 and self.a_pi > 0 and self.b_pi > 0):
+            raise ValueError("BNB parameters must be positive")
+        if not 1 <= self.k_init <= self.k_max:
+            raise ValueError(f"need 1 <= k_init <= k_max, got "
+                             f"k_init={self.k_init}, k_max={self.k_max}")
 
 
 @dataclass
@@ -115,7 +124,7 @@ class PriorConfig:
     g0: float
     C0_init: np.ndarray
     G0: np.ndarray
-    k_prior: object                    # FixedK, SparseK, or RandomK
+    k_prior: object                    # FixedK or RandomK
 
 
 @dataclass
@@ -232,12 +241,12 @@ def complete_data_log_likelihood(data, state):
 def generate_synthetic(prior, N, rng):
     """Draw a dataset from the hierarchical model, returning the truth too.
 
-    K comes from the prior's k_prior: fixed for FixedK/SparseK, a draw of
+    K comes from the prior's k_prior: fixed for FixedK, a draw of
     1 + BNB(a_l, a_pi, b_pi) for RandomK (via the beta mixture of
     negative binomials).
     """
     kp = prior.k_prior
-    if isinstance(kp, (FixedK, SparseK)):
+    if isinstance(kp, FixedK):
         K = kp.K
     elif isinstance(kp, RandomK):
         p = rng.beta(kp.a_pi, kp.b_pi)

@@ -116,30 +116,26 @@ def filter_to_kplus(chain, k_plus):
         N_k=np.array(N_k), S=np.array(S) if have_S else None)
 
 
-def ppr_identify(filtered, rng, functional=None):
+def ppr_identify(filtered, rng):
     """Resolve label switching by clustering the pooled sweep-level draws.
 
-    The component functionals of all sweeps (by default the means mu_k)
-    are pooled and clustered into k_plus groups by k-means. A sweep whose
-    k_plus draws land in k_plus distinct groups defines a relabeling
-    permutation; sweeps that fail this are dropped and their fraction is
-    reported as the non-permutation rate.
+    The component means mu_k of all sweeps are pooled and clustered into
+    k_plus groups by k-means. A sweep whose k_plus draws land in k_plus
+    distinct groups defines a relabeling permutation; sweeps that fail
+    this are dropped and their fraction is reported as the
+    non-permutation rate.
 
     Parameters
     ----------
     filtered : FilteredDraws
     rng : numpy Generator
-    functional : callable, optional
-        Maps FilteredDraws to a (T, k_plus, d) array to cluster on;
-        defaults to the component means.
 
     Returns
     -------
     IdentifiedDraws
     """
-    pooled_src = filtered.mu if functional is None else functional(filtered)
-    T, kp = pooled_src.shape[0], filtered.k_plus
-    pooled = pooled_src.reshape(T * kp, -1)
+    T, kp = filtered.mu.shape[0], filtered.k_plus
+    pooled = filtered.mu.reshape(T * kp, -1)
     result = kmeans(pooled, kp, rng)
     if result.n_nonempty < kp:
         raise IdentificationError(

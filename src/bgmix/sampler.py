@@ -1,12 +1,13 @@
 """Gibbs samplers for the Gaussian mixture model.
 
-Three modes share the same conditional updates:
+The type of the prior's k_prior picks the sweep:
 
-* ``fixed_k``: data augmentation Gibbs sweep with K constant.
-* ``sfm``: the same sweep run deliberately overfitted (large K, tiny
-  Dirichlet parameter) so superfluous components empty out.
-* ``telescoping``: K itself is sampled each sweep conditional on the
-  current partition, empty components are re-drawn from the prior.
+* ``FixedK``: data augmentation Gibbs sweep with K constant. With a
+  generous K and a small FixedGamma this is the sparse finite mixture
+  (sfm): superfluous components empty out.
+* ``RandomK``: the telescoping sweep. K itself is sampled each sweep
+  conditional on the current partition, empty components are re-drawn
+  from the prior.
 
 All updates are written against stacked arrays so a sweep costs a fixed
 number of numpy calls regardless of K.
@@ -20,8 +21,7 @@ from scipy.special import gammaln
 
 from . import distributions as dist
 from .clustering import kmeans
-from .model import (ChainConfig, Dataset, FixedK, MixtureState, PriorConfig,
-                    RandomK, SparseK, mixture_log_likelihood)
+from .model import MixtureState, RandomK, mixture_log_likelihood
 
 
 class NumericalError(RuntimeError):
@@ -48,11 +48,7 @@ class SweepRecord:
 @dataclass
 class ChainOutput:
     records: list
-    config: ChainConfig
-    prior: PriorConfig
     wall_time: float
-    seed: int
-    mode: str
     trace: dict = field(default_factory=dict)
 
 
@@ -267,21 +263,16 @@ def permute_labels_random(state, rng):
 # chain driver
 
 
-_MODE_PRIORS = {"fixed_k": FixedK, "sfm": SparseK, "telescoping": RandomK}
-
-
-def run_chain(data, prior, config, mode, rng=None):
+def run_chain(data, prior, config, rng=None):
     """Run one MCMC chain and return its stored records plus trace series.
 
     Parameters
     ----------
     data : Dataset
     prior : PriorConfig
-        k_prior must match the mode: FixedK for "fixed_k", SparseK for
-        "sfm", RandomK for "telescoping".
+        Its k_prior picks the sweep: the telescoping sweep for RandomK,
+        the fixed-K sweep for FixedK.
     config : ChainConfig
-    mode : str
-        One of "fixed_k", "sfm", "telescoping".
     rng : numpy Generator, optional
         Defaults to default_rng(config.seed); pass one only to continue
         an existing stream.
@@ -293,26 +284,13 @@ def run_chain(data, prior, config, mode, rng=None):
         the trace dict carries per-iteration series for every sweep
         including burn-in.
     """
-    if mode not in _MODE_PRIORS:
-        raise ValueError(f"unknown mode {mode!r}")
-    if not isinstance(prior.k_prior, _MODE_PRIORS[mode]):
-        raise ValueError(f"mode {mode!r} needs a {_MODE_PRIORS[mode].__name__} "
-                         f"prior, got {type(prior.k_prior).__name__}")
-    if mode == "sfm":
-        gamma_check = prior.gamma_spec.gamma_for(prior.k_prior.K)
-        if abs(gamma_check - prior.k_prior.gamma) > 1e-12:
-            raise ValueError("SparseK gamma and gamma_spec disagree")
     if rng is None:
         rng = np.random.default_rng(config.seed)
-
-    if isinstance(prior.k_prior, RandomK):
-        k_init = prior.k_prior.k_init
-    else:
-        k_init = prior.k_prior.K
+    telescoping = isinstance(prior.k_prior, RandomK)
+    k_init = prior.k_prior.k_init if telescoping else prior.k_prior.K
 
     t0 = time.perf_counter()
     state = init_from_kmeans(data, prior, k_init, rng)
-    telescoping = mode == "telescoping"
     M, burn, thin = config.n_iter, config.burn_in, config.thinning
     records = []
     trace_loglik = np.empty(M)
@@ -357,6 +335,5 @@ def run_chain(data, prior, config, mode, rng=None):
     trace = {"log_lik": trace_loglik, "K": trace_K, "K_plus": trace_Kplus}
     if trace_mu1 is not None:
         trace["mu1"] = trace_mu1
-    return ChainOutput(records=records, config=config, prior=prior,
-                       wall_time=time.perf_counter() - t0, seed=config.seed,
-                       mode=mode, trace=trace)
+    return ChainOutput(records=records, wall_time=time.perf_counter() - t0,
+                       trace=trace)

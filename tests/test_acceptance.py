@@ -34,9 +34,8 @@ from scipy.special import logsumexp
 from bgmix import distributions as dist
 from bgmix.cli import load_dataset, main
 from bgmix.model import (ChainConfig, Dataset, DynamicGamma, FixedGamma,
-                         FixedK, MixtureState, RandomK, SparseK,
-                         build_default_prior, complete_data_log_likelihood,
-                         mixture_log_likelihood)
+                         FixedK, MixtureState, RandomK, build_default_prior,
+                         complete_data_log_likelihood, mixture_log_likelihood)
 from bgmix.postprocess import (ari, coallocation_matrix, confusion_and_mcr,
                                filter_to_kplus, kplus_distribution,
                                map_partition, posterior_summary, ppr_identify,
@@ -119,8 +118,7 @@ def fixedk(diabetes):
     prior = build_default_prior(diabetes, gamma_spec=FixedGamma(1.0),
                                 k_prior=FixedK(3))
     chain = run_chain(diabetes, prior,
-                      ChainConfig(n_iter=30000, burn_in=5000, seed=1),
-                      "fixed_k")
+                      ChainConfig(n_iter=30000, burn_in=5000, seed=1))
     ident, summ = _identified(chain, 3, 500)
     return {"chain": chain, "ident": ident, "summary": summ,
             "map": map_partition(ident.S)}
@@ -129,12 +127,11 @@ def fixedk(diabetes):
 @pytest.fixture(scope="module")
 def sfm_runs(diabetes):
     prior = build_default_prior(diabetes, gamma_spec=FixedGamma(0.01),
-                                k_prior=SparseK(10, 0.01))
+                                k_prior=FixedK(10))
     runs = []
     for seed in SFM_SEEDS:
         chain = run_chain(diabetes, prior,
-                          ChainConfig(n_iter=30000, burn_in=5000, seed=seed),
-                          "sfm")
+                          ChainConfig(n_iter=30000, burn_in=5000, seed=seed))
         ident, summ = _identified(chain, 3, 1000 + seed)
         runs.append({"seed": seed, "kplus": kplus_distribution(chain),
                      "ident": ident, "summary": summ,
@@ -148,8 +145,7 @@ def mfm_run(diabetes):
         diabetes, gamma_spec=DynamicGamma(0.5),
         k_prior=RandomK(1.0, 4.0, 3.0, k_max=100, k_init=10))
     chain = run_chain(diabetes, prior,
-                      ChainConfig(n_iter=30000, burn_in=5000, seed=MFM_SEED),
-                      "telescoping")
+                      ChainConfig(n_iter=30000, burn_in=5000, seed=MFM_SEED))
     ident, summ = _identified(chain, 3, 2000 + MFM_SEED)
     return {"chain": chain, "kplus": kplus_distribution(chain),
             "ident": ident, "summary": summ,
@@ -269,8 +265,7 @@ class TestAcceptance:
         prior = build_default_prior(data, gamma_spec=FixedGamma(1.0),
                                     k_prior=FixedK(1))
         out = run_chain(data, prior,
-                        ChainConfig(n_iter=40000, burn_in=2000, seed=70),
-                        "fixed_k")
+                        ChainConfig(n_iter=40000, burn_in=2000, seed=70))
         mu = np.array([rec.mu[0, 0] for rec in out.records])
         sig2 = np.array([rec.Sigma[0, 0, 0] for rec in out.records])
         np.testing.assert_allclose(mu.mean(), ORACLE_E_MU, rtol=0.05)
@@ -302,8 +297,7 @@ class TestAcceptance:
         prior2 = build_default_prior(pair, gamma_spec=FixedGamma(1.0),
                                      k_prior=FixedK(2))
         out2 = run_chain(pair, prior2,
-                         ChainConfig(n_iter=40000, burn_in=2000, seed=72),
-                         "fixed_k")
+                         ChainConfig(n_iter=40000, burn_in=2000, seed=72))
         p_one = np.mean([rec.K_plus == 1 for rec in out2.records])
         tv = abs(p_one - ORACLE_2OBS_P_ONE_CLUSTER)
         assert tv < 0.02, f"total variation {tv:.4f}"

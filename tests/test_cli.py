@@ -3,6 +3,7 @@
 import filecmp
 import json
 import os
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -202,6 +203,22 @@ class TestFitCommand:
                    "--out", str(tmp_path)])
         assert rc == 3
 
+    @pytest.mark.parametrize("flags", [
+        ["--mode", "fixed-k", "--k", "0"],
+        ["--mode", "sfm", "--k", "0"],
+        ["--mode", "mfm", "--kinit", "0"],
+        ["--mode", "mfm", "--bnb", "0,4,3"],
+        ["--mode", "mfm", "--bnb", "nan,4,3"],
+        ["--mode", "mfm", "--kinit", "50", "--kmax", "5"],
+        ["--mode", "mfm", "--kmax", "0"],
+    ])
+    def test_invalid_k_prior_exits_3(self, blob_csv, tmp_path, capsys, flags):
+        rc = main(["fit", blob_csv, "--iters", "20", "--burnin", "5",
+                   "--out", str(tmp_path)] + flags)
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_sampler_failure_exits_4(self, blob_csv, tmp_path, monkeypatch):
         def boom(*args, **kwargs):
             raise SamplerError("iteration 5: synthetic")
@@ -238,6 +255,38 @@ class TestFitCommand:
         assert not filecmp.cmp(os.path.join(out, "draws_chain0.csv"),
                                os.path.join(out, "draws_chain1.csv"),
                                shallow=False)
+
+    def test_chains_capped_at_cpu_count(self, blob_csv, tmp_path,
+                                        monkeypatch):
+        seen = {}
+
+        class InlinePool:
+            """Records max_workers and runs each submitted chain inline."""
+
+            def __init__(self, max_workers):
+                seen["max_workers"] = max_workers
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                future = Future()
+                future.set_result(fn(*args))
+                return future
+
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", InlinePool)
+        out = str(tmp_path / "three")
+        rc = main(["fit", blob_csv, "--mode", "fixed-k", "--k", "2",
+                   "--iters", "30", "--burnin", "10", "--chains", "3",
+                   "--out", out])
+        assert rc == 0
+        assert seen["max_workers"] == 2
+        for i in range(3):
+            assert os.path.exists(os.path.join(out, f"draws_chain{i}.csv"))
 
     def test_sfm_and_mfm_modes_run(self, blob_csv, tmp_path):
         rc = main(["fit", blob_csv, "--mode", "sfm", "--k", "4",
@@ -303,6 +352,14 @@ class TestIdentifyCommand:
         rc = main(["identify", os.path.join(fit_dir, "draws.csv"),
                    "--out", str(tmp_path), "--kplus", "few"])
         assert rc == 3
+
+    @pytest.mark.parametrize("thin", ["0", "-3"])
+    def test_vi_thin_below_one_exits_3(self, fit_dir, tmp_path, capsys, thin):
+        rc = main(["identify", os.path.join(fit_dir, "draws.csv"),
+                   "--out", str(tmp_path), "--vi-thin", thin])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_missing_draws_exits_2(self, tmp_path):
         rc = main(["identify", str(tmp_path / "absent.csv"),

@@ -74,14 +74,6 @@ class TestKmeansRobustness:
             result = kmeans(X, 4, np.random.default_rng(seed))
             assert result.n_nonempty == 4
 
-    def test_init_centers_bypasses_seeding(self):
-        X = np.array([[0.0], [0.1], [5.0], [5.1]])
-        init = np.array([[0.0], [5.0]])
-        result = kmeans(X, 2, np.random.default_rng(9), init_centers=init)
-        assert set(result.labels[:2].tolist()) != set(result.labels[2:].tolist())
-        np.testing.assert_allclose(sorted(result.centers.ravel()),
-                                   [0.05, 5.05])
-
     def test_restarts_never_hurt(self):
         rng = np.random.default_rng(10)
         X, _ = _blobs(rng, [(0, 0), (4, 0), (0, 4), (4, 4)], 25, scale=0.5)

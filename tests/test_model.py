@@ -6,9 +6,9 @@ from scipy.special import logsumexp
 from scipy.stats import multivariate_normal
 
 from bgmix.model import (ChainConfig, Dataset, DynamicGamma, FixedGamma,
-                         FixedK, MixtureState, RandomK, SparseK,
-                         build_default_prior, complete_data_log_likelihood,
-                         generate_synthetic, mixture_log_likelihood)
+                         FixedK, MixtureState, RandomK, build_default_prior,
+                         complete_data_log_likelihood, generate_synthetic,
+                         mixture_log_likelihood)
 
 
 def _dataset(rng, n=40, r=2):
@@ -247,7 +247,7 @@ class TestGenerateSynthetic:
         assert len(set(ks)) > 1
 
     def test_reproducible(self):
-        prior = self._prior(SparseK(5, 0.1), FixedGamma(0.1))
+        prior = self._prior(FixedK(5), FixedGamma(0.1))
         a, _ = generate_synthetic(prior, 30, np.random.default_rng(13))
         b, _ = generate_synthetic(prior, 30, np.random.default_rng(13))
         np.testing.assert_array_equal(a.y, b.y)

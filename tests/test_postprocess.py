@@ -135,14 +135,6 @@ class TestPprIdentify:
         assert 5 not in ident.kept
         assert 17 not in ident.kept
 
-    def test_custom_functional(self):
-        rng = np.random.default_rng(4)
-        filt, _, w, z = _switched_draws(rng)
-        ident = ppr_identify(filt, np.random.default_rng(5),
-                             functional=lambda f: f.mu[:, :, :1])
-        assert ident.non_permutation_rate == 0.0
-        assert np.all(ident.S == ident.S[0])
-
     def test_collapsed_draws_raise(self):
         T = 6
         filt = FilteredDraws(

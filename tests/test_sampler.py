@@ -5,9 +5,8 @@ import pytest
 
 from bgmix import sampler as smp
 from bgmix.model import (ChainConfig, Dataset, DynamicGamma, FixedGamma,
-                         FixedK, MixtureState, RandomK, SparseK,
-                         build_default_prior, complete_data_log_likelihood,
-                         mixture_log_likelihood)
+                         FixedK, MixtureState, RandomK, build_default_prior,
+                         complete_data_log_likelihood, mixture_log_likelihood)
 from bgmix.sampler import (NumericalError, SamplerError, compact_filled,
                            init_from_kmeans, permute_labels_random, run_chain,
                            step_add_empty, step_classify,
@@ -267,7 +266,7 @@ class TestStepSampleK:
             step_sample_K(state, prior, np.random.default_rng(0))
 
     def test_truncation_below_kplus_rejected(self):
-        prior = self._prior_with(RandomK(1.0, 4.0, 3.0, k_max=2),
+        prior = self._prior_with(RandomK(1.0, 4.0, 3.0, k_max=2, k_init=2),
                                  DynamicGamma(0.5))
         state = self._state_with_counts([2, 2, 1])
         with pytest.raises(ValueError, match="k_max"):
@@ -379,27 +378,10 @@ class TestRunChain:
                 k_prior=RandomK(1.0, 4.0, 3.0, k_max=20, k_init=4))
         return data, prior
 
-    def test_mode_prior_mismatch_rejected(self):
-        data, prior = self._setup("fixed_k")
-        with pytest.raises(ValueError, match="SparseK"):
-            run_chain(data, prior, ChainConfig(n_iter=10, burn_in=0), "sfm")
-
-    def test_unknown_mode_rejected(self):
-        data, prior = self._setup()
-        with pytest.raises(ValueError, match="mode"):
-            run_chain(data, prior, ChainConfig(n_iter=10, burn_in=0), "vanilla")
-
-    def test_sfm_gamma_consistency_enforced(self):
-        data, _ = self._setup()
-        prior = build_default_prior(data, gamma_spec=FixedGamma(0.5),
-                                    k_prior=SparseK(5, 0.01))
-        with pytest.raises(ValueError, match="gamma"):
-            run_chain(data, prior, ChainConfig(n_iter=10, burn_in=0), "sfm")
-
     def test_record_layout_and_thinning(self):
         data, prior = self._setup()
         cfg = ChainConfig(n_iter=50, burn_in=10, thinning=4, seed=31)
-        out = run_chain(data, prior, cfg, "fixed_k")
+        out = run_chain(data, prior, cfg)
         assert len(out.records) == 10
         assert [rec.iter for rec in out.records][:3] == [10, 14, 18]
         for rec in out.records:
@@ -410,7 +392,7 @@ class TestRunChain:
     def test_trace_covers_every_iteration(self):
         data, prior = self._setup()
         out = run_chain(data, prior, ChainConfig(n_iter=40, burn_in=5,
-                                                 seed=32), "fixed_k")
+                                                 seed=32))
         assert out.trace["log_lik"].shape == (40,)
         assert out.trace["K"].shape == (40,)
         assert np.all(out.trace["K"] == 2)
@@ -420,14 +402,14 @@ class TestRunChain:
         data, prior = self._setup()
         cfg = ChainConfig(n_iter=20, burn_in=5, seed=33,
                           store_assignments=False)
-        out = run_chain(data, prior, cfg, "fixed_k")
+        out = run_chain(data, prior, cfg)
         assert all(rec.S is None for rec in out.records)
 
     def test_same_seed_reproduces_exactly(self):
         data, prior = self._setup()
         cfg = ChainConfig(n_iter=60, burn_in=20, seed=34)
-        a = run_chain(data, prior, cfg, "fixed_k")
-        b = run_chain(data, prior, cfg, "fixed_k")
+        a = run_chain(data, prior, cfg)
+        b = run_chain(data, prior, cfg)
         for ra, rb in zip(a.records, b.records):
             np.testing.assert_array_equal(ra.mu, rb.mu)
             np.testing.assert_array_equal(ra.Sigma, rb.Sigma)
@@ -436,7 +418,7 @@ class TestRunChain:
     def test_records_are_decoupled_from_state(self):
         data, prior = self._setup()
         out = run_chain(data, prior, ChainConfig(n_iter=25, burn_in=20,
-                                                 seed=35), "fixed_k")
+                                                 seed=35))
         first = out.records[0].mu.copy()
         out.records[1].mu[:] = 0.0
         np.testing.assert_array_equal(out.records[0].mu, first)
@@ -444,7 +426,7 @@ class TestRunChain:
     def test_telescoping_varies_k(self):
         data, prior = self._setup("telescoping")
         cfg = ChainConfig(n_iter=300, burn_in=50, seed=36)
-        out = run_chain(data, prior, cfg, "telescoping")
+        out = run_chain(data, prior, cfg)
         ks = np.array([rec.K for rec in out.records])
         kplus = np.array([rec.K_plus for rec in out.records])
         assert np.all(kplus <= ks)
@@ -460,7 +442,7 @@ class TestRunChain:
     def test_telescoping_recovers_two_groups(self):
         data, prior = self._setup("telescoping")
         cfg = ChainConfig(n_iter=800, burn_in=200, seed=37)
-        out = run_chain(data, prior, cfg, "telescoping")
+        out = run_chain(data, prior, cfg)
         kplus = np.array([rec.K_plus for rec in out.records])
         values, counts = np.unique(kplus, return_counts=True)
         assert values[np.argmax(counts)] == 2
@@ -478,8 +460,7 @@ class TestRunChain:
 
         monkeypatch.setattr(smp, "step_weights", boom)
         with pytest.raises(SamplerError, match="iteration 2"):
-            run_chain(data, prior, ChainConfig(n_iter=10, burn_in=0, seed=38),
-                      "fixed_k")
+            run_chain(data, prior, ChainConfig(n_iter=10, burn_in=0, seed=38))
 
     def test_permutation_step_leaves_posterior_alone(self):
         """With random label permutations the marginal over components is
@@ -487,7 +468,7 @@ class TestRunChain:
         data, prior = self._setup()
         cfg = ChainConfig(n_iter=120, burn_in=40, seed=39,
                           permutation_step=True)
-        out = run_chain(data, prior, cfg, "fixed_k")
+        out = run_chain(data, prior, cfg)
         kplus = np.array([rec.K_plus for rec in out.records])
         assert np.all(kplus == 2)
         assert np.all(np.isfinite(out.trace["log_lik"]))
