@@ -11,30 +11,29 @@ Exit codes: 0 success, 2 unreadable input, 3 configuration error,
 """
 
 import argparse
-import csv
-import hashlib
 import json
 import os
 import sys
+import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
-from types import SimpleNamespace
 
 import numpy as np
 from scipy import __version__ as _scipy_version
 
 from . import __version__
+from .artifacts import (UnreadableInputError, _sha256, load_table,
+                        parse_assignments, parse_draws, parse_partition,
+                        write_assignments, write_cluster_summary, write_draws,
+                        write_json, write_kplus_distribution, write_partition,
+                        write_trace)
 from .model import (ChainConfig, Dataset, DynamicGamma, FixedGamma, FixedK,
                     RandomK, build_default_prior)
 from .postprocess import (EmptySelectionError, IdentificationError,
                           filter_to_kplus, kplus_distribution, map_partition,
                           posterior_summary, ppr_identify, vi_partition,
                           ari, confusion_and_mcr)
-from .sampler import SamplerError, SweepRecord, run_chain
-
-
-class UnreadableInputError(RuntimeError):
-    """Input file missing, malformed, or misaligned (exit 2)."""
+from .sampler import ChainOutput, SamplerError, run_chain
 
 
 class ConfigError(RuntimeError):
@@ -46,38 +45,6 @@ _VERSIONS = f"bgmix {__version__} (numpy {np.__version__}, scipy {_scipy_version
 
 # ---------------------------------------------------------------------------
 # input handling
-
-
-def _sha256(path):
-    h = hashlib.sha256()
-    try:
-        with open(path, "rb") as fh:
-            for chunk in iter(lambda: fh.read(1 << 16), b""):
-                h.update(chunk)
-    except OSError as exc:
-        raise UnreadableInputError(f"cannot read {path}: {exc}") from exc
-    return h.hexdigest()
-
-
-def load_table(path):
-    """Read a CSV with one header row into (header, rows of strings)."""
-    try:
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            rows = [row for row in reader if row]
-    except OSError as exc:
-        raise UnreadableInputError(f"cannot read {path}: {exc}") from exc
-    if len(rows) < 2:
-        raise UnreadableInputError(f"{path}: need a header row and data rows")
-    header = [c.strip() for c in rows[0]]
-    body = []
-    for lineno, row in enumerate(rows[1:], start=2):
-        if len(row) != len(header):
-            raise UnreadableInputError(
-                f"{path}: line {lineno} has {len(row)} fields, "
-                f"expected {len(header)}")
-        body.append([c.strip() for c in row])
-    return header, body
 
 
 def _resolve_column(token, header, path):
@@ -146,11 +113,17 @@ def load_dataset(path, features=None, label_col=None):
 
 _MODES = ("fixed-k", "sfm", "mfm")
 
-_CONFIG_KEYS = {
-    "data", "mode", "k", "gamma", "alpha", "bnb", "kmax", "kinit", "iters",
-    "burnin", "thin", "seed", "c", "phi", "store_assignments", "permute",
-    "chains", "features", "label_col",
+# every config key with its default, in the order the manifest echoes them;
+# None marks a key without one or with a default that depends on the mode
+_CONFIG_DEFAULTS = {
+    "data": None, "mode": "fixed-k", "k": None, "gamma": None, "alpha": None,
+    "bnb": None, "kmax": 100, "kinit": 10, "iters": 30000, "burnin": 5000,
+    "thin": 1, "seed": 0, "c": 2.5, "phi": 0.75, "store_assignments": True,
+    "permute": False, "chains": 1, "features": None, "label_col": None,
 }
+# mfm's alpha default applies only when gamma is not given either
+_MODE_DEFAULTS = {"fixed-k": {"gamma": 1.0}, "sfm": {"k": 10, "gamma": 0.01},
+                  "mfm": {"bnb": (1.0, 4.0, 3.0)}}
 
 
 def _load_config_file(path):
@@ -168,7 +141,7 @@ def _load_config_file(path):
     if "config_echo" in raw:
         expected_hash = raw.get("dataset_hash")
         raw = raw["config_echo"]
-    unknown = set(raw) - _CONFIG_KEYS
+    unknown = set(raw) - set(_CONFIG_DEFAULTS)
     if unknown:
         raise ConfigError(f"{path}: unknown config keys: "
                           f"{', '.join(sorted(unknown))}")
@@ -181,57 +154,31 @@ def _resolve_fit_config(args):
     if args.config:
         file_cfg, expected_hash = _load_config_file(args.config)
 
-    def pick(name, default=None):
+    def pick(name, default):
         cli = getattr(args, name)
         if cli is not None:
             return cli
-        if name in file_cfg and file_cfg[name] is not None:
+        if file_cfg.get(name) is not None:
             return file_cfg[name]
         return default
 
-    mode = pick("mode", "fixed-k")
+    cfg = {name: pick(name, default)
+           for name, default in _CONFIG_DEFAULTS.items()}
+    mode = cfg["mode"]
     if mode not in _MODES:
         raise ConfigError(f"unknown mode {mode!r} (choose from "
                           f"{', '.join(_MODES)})")
-    cfg = {
-        "data": pick("data"),
-        "mode": mode,
-        "k": pick("k"),
-        "gamma": pick("gamma"),
-        "alpha": pick("alpha"),
-        "bnb": pick("bnb"),
-        "kmax": pick("kmax", 100),
-        "kinit": pick("kinit", 10),
-        "iters": pick("iters", 30000),
-        "burnin": pick("burnin", 5000),
-        "thin": pick("thin", 1),
-        "seed": pick("seed", 0),
-        "c": pick("c", 2.5),
-        "phi": pick("phi", 0.75),
-        "store_assignments": pick("store_assignments", True),
-        "permute": pick("permute", False),
-        "chains": pick("chains", 1),
-        "features": pick("features"),
-        "label_col": pick("label_col"),
-    }
     if cfg["data"] is None:
         raise ConfigError("no input data file (positional argument or "
                           "config key 'data')")
     cfg["data"] = os.path.abspath(cfg["data"])
 
-    if mode == "fixed-k":
-        if cfg["k"] is None:
-            raise ConfigError("fixed-k mode requires --k")
-        if cfg["gamma"] is None:
-            cfg["gamma"] = 1.0
-    elif mode == "sfm":
-        if cfg["k"] is None:
-            cfg["k"] = 10
-        if cfg["gamma"] is None:
-            cfg["gamma"] = 0.01
-    else:
-        if cfg["bnb"] is None:
-            cfg["bnb"] = [1.0, 4.0, 3.0]
+    if mode == "fixed-k" and cfg["k"] is None:
+        raise ConfigError("fixed-k mode requires --k")
+    for name, default in _MODE_DEFAULTS[mode].items():
+        if cfg[name] is None:
+            cfg[name] = default
+    if mode == "mfm":
         if len(cfg["bnb"]) != 3:
             raise ConfigError("--bnb needs three comma-separated values")
         if cfg["gamma"] is not None and cfg["alpha"] is not None:
@@ -249,8 +196,7 @@ def _build_run(cfg):
     try:
         # sfm is fixed-k with other defaults; only mfm puts a prior on K
         if cfg["mode"] == "mfm":
-            a_l, a_pi, b_pi = cfg["bnb"]
-            k_prior = RandomK(a_l, a_pi, b_pi, k_max=int(cfg["kmax"]),
+            k_prior = RandomK(*cfg["bnb"], k_max=int(cfg["kmax"]),
                               k_init=int(cfg["kinit"]))
         else:
             k_prior = FixedK(int(cfg["k"]))
@@ -273,142 +219,6 @@ def _build_run(cfg):
 
 
 # ---------------------------------------------------------------------------
-# persistence
-
-
-def _fmt(v):
-    return repr(float(v))
-
-
-def write_draws(path, records, r):
-    """One row per stored sweep; rows carry their own K, header spans max K."""
-    kmax = max(rec.K for rec in records)
-    il, jl = np.tril_indices(r)
-    header = ["iter", "K", "K_plus"]
-    header += [f"eta_{k+1}" for k in range(kmax)]
-    header += [f"mu_{k+1}_{d+1}" for k in range(kmax) for d in range(r)]
-    header += [f"sigma_{k+1}_{i+1}_{j+1}" for k in range(kmax)
-               for i, j in zip(il, jl)]
-    header += [f"N_{k+1}" for k in range(kmax)]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for rec in records:
-            row = [rec.iter, rec.K, rec.K_plus]
-            row += [_fmt(v) for v in rec.eta]
-            row += [_fmt(v) for v in rec.mu.ravel()]
-            row += [_fmt(v) for v in rec.Sigma[:, il, jl].ravel()]
-            row += [int(v) for v in rec.N_k]
-            writer.writerow(row)
-
-
-def write_assignments(path, records):
-    n = records[0].S.size
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["iter"] + [f"s_{i+1}" for i in range(n)])
-        for rec in records:
-            writer.writerow([rec.iter] + [int(v) + 1 for v in rec.S])
-
-
-def write_trace(path, trace):
-    """Long-format (iter, series, value) export of the per-iteration series."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["iter", "series", "value"])
-        n_iter = trace["log_lik"].size
-        mu1 = trace.get("mu1")
-        for it in range(n_iter):
-            writer.writerow([it, "log_lik", _fmt(trace["log_lik"][it])])
-            writer.writerow([it, "K", int(trace["K"][it])])
-            writer.writerow([it, "K_plus", int(trace["K_plus"][it])])
-            if mu1 is not None:
-                for k in range(mu1.shape[1]):
-                    writer.writerow([it, f"mu_{k+1}_1", _fmt(mu1[it, k])])
-
-
-def _write_partition(path, labels):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["index", "label"])
-        for i, lab in enumerate(labels, start=1):
-            writer.writerow([i, int(lab)])
-
-
-def _write_json_atomic(path, payload):
-    tmp = path + ".tmp"
-    with open(tmp, "w") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
-    os.replace(tmp, path)
-
-
-def parse_draws(path):
-    """Read a draws file back into SweepRecord objects (assignments absent)."""
-    header, body = None, []
-    try:
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            for row in reader:
-                if not row:
-                    continue
-                if header is None:
-                    header = row
-                else:
-                    body.append(row)
-    except OSError as exc:
-        raise UnreadableInputError(f"cannot read {path}: {exc}") from exc
-    if header is None or not body:
-        raise UnreadableInputError(f"{path}: no draws found")
-    if header[:3] != ["iter", "K", "K_plus"]:
-        raise UnreadableInputError(f"{path}: not a draws file")
-    r = sum(1 for name in header if name.startswith("mu_1_"))
-    if r < 1:
-        raise UnreadableInputError(f"{path}: no mu columns in header")
-    il, jl = np.tril_indices(r)
-    ntri = il.size
-    records = []
-    for row in body:
-        it, K, kplus = int(row[0]), int(row[1]), int(row[2])
-        need = 3 + K * (1 + r + ntri + 1)
-        if len(row) < need:
-            raise UnreadableInputError(
-                f"{path}: row iter={it} has {len(row)} fields, "
-                f"needs {need} for K={K}")
-        pos = 3
-        eta = np.array([float(v) for v in row[pos:pos + K]])
-        pos += K
-        mu = np.array([float(v) for v in row[pos:pos + K * r]]).reshape(K, r)
-        pos += K * r
-        tri = np.array([float(v) for v in row[pos:pos + K * ntri]])
-        pos += K * ntri
-        Sigma = np.zeros((K, r, r))
-        Sigma[:, il, jl] = Sigma[:, jl, il] = tri.reshape(K, ntri)
-        N_k = np.array([int(row[pos + k]) for k in range(K)])
-        records.append(SweepRecord(iter=it, K=K, K_plus=kplus, eta=eta, mu=mu,
-                                   Sigma=Sigma, N_k=N_k, S=None,
-                                   log_lik=np.nan))
-    return records
-
-
-def parse_assignments(path, records):
-    """Attach stored assignments to records, matching on iteration index."""
-    header, body = load_table(path)
-    if header[0] != "iter":
-        raise UnreadableInputError(f"{path}: not an assignments file")
-    by_iter = {}
-    for row in body:
-        by_iter[int(row[0])] = np.array([int(v) - 1 for v in row[1:]])
-    missing = [rec.iter for rec in records if rec.iter not in by_iter]
-    if missing:
-        raise UnreadableInputError(
-            f"{path}: no assignment row for iteration {missing[0]}")
-    for rec in records:
-        rec.S = by_iter[rec.iter]
-    return records
-
-
-# ---------------------------------------------------------------------------
 # fit
 
 
@@ -420,27 +230,27 @@ def _fit_one(cfg, chain_idx, out_dir):
     """Run one chain of a resolved config and write its artifacts."""
     data, prior, base_cfg = _build_run(cfg)
     chain_cfg = replace(base_cfg, seed=base_cfg.seed + chain_idx)
+    t0 = time.perf_counter()
     out = run_chain(data, prior, chain_cfg)
+    wall_time = time.perf_counter() - t0
     suffix = _chain_suffix(chain_idx, cfg["chains"])
     paths = {"draws": os.path.join(out_dir, f"draws{suffix}.csv"),
              "trace": os.path.join(out_dir, f"trace{suffix}.csv")}
-    write_draws(paths["draws"], out.records, data.r)
+    write_draws(paths["draws"], out.records)
     write_trace(paths["trace"], out.trace)
     if chain_cfg.store_assignments:
         paths["assignments"] = os.path.join(out_dir,
                                             f"assignments{suffix}.csv")
         write_assignments(paths["assignments"], out.records)
-    kplus_mode = max(kplus_distribution(out).items(),
-                     key=lambda kv: (kv[1], -kv[0]))[0]
-    return {"paths": paths, "wall_time": out.wall_time,
+    kplus_mode = int(np.bincount(out.records.K_plus).argmax())
+    return {"paths": paths, "wall_time": wall_time,
             "n_records": len(out.records), "seed": chain_cfg.seed,
             "kplus_mode": kplus_mode}
 
 
 def cmd_fit(args):
     cfg, expected_hash = _resolve_fit_config(args)
-    out_dir = args.out
-    os.makedirs(out_dir, exist_ok=True)
+    os.makedirs(args.out, exist_ok=True)
     dataset_hash = _sha256(cfg["data"])
     if expected_hash is not None and expected_hash != dataset_hash:
         raise ConfigError(f"dataset hash mismatch: manifest expects "
@@ -448,25 +258,23 @@ def cmd_fit(args):
 
     results = []
     if cfg["chains"] == 1:
-        results.append(_fit_one(cfg, 0, out_dir))
+        results.append(_fit_one(cfg, 0, args.out))
     else:
         workers = min(cfg["chains"], os.cpu_count() or 1)
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(_fit_one, cfg, i, out_dir)
+            futures = [pool.submit(_fit_one, cfg, i, args.out)
                        for i in range(cfg["chains"])]
             results = [f.result() for f in futures]
 
-    manifest_path = os.path.join(out_dir, "manifest.json")
-    artifact_paths = {}
-    for i, res in enumerate(results):
-        suffix = _chain_suffix(i, cfg["chains"])
-        for kind, p in res["paths"].items():
-            artifact_paths[f"{kind}{suffix}"] = p
+    manifest_path = os.path.join(args.out, "manifest.json")
+    artifact_paths = {kind + _chain_suffix(i, cfg["chains"]): p
+                      for i, res in enumerate(results)
+                      for kind, p in res["paths"].items()}
     artifact_paths["manifest"] = manifest_path
     manifest = {"config_echo": cfg, "dataset_hash": dataset_hash,
                 "seed": cfg["seed"], "artifact_paths": artifact_paths,
                 "versions": _VERSIONS}
-    _write_json_atomic(manifest_path, manifest)
+    write_json(manifest_path, manifest)
 
     for res in results:
         print(f"chain seed {res['seed']}: {res['n_records']} stored sweeps, "
@@ -493,15 +301,16 @@ def _default_assignments_path(draws_path):
 def cmd_identify(args):
     if args.vi_thin < 1:
         raise ConfigError(f"--vi-thin must be at least 1, not {args.vi_thin}")
-    records = parse_draws(args.draws)
+    if args.seed < 0:
+        raise ConfigError(f"--seed must be non-negative, not {args.seed}")
+    chain = ChainOutput(records=parse_draws(args.draws))
     assignments_path = args.assignments or _default_assignments_path(args.draws)
     if assignments_path is not None:
-        parse_assignments(assignments_path, records)
-    chain = SimpleNamespace(records=records)
+        parse_assignments(assignments_path, chain.records)
 
     dist_kplus = kplus_distribution(chain)
     if args.kplus == "auto":
-        kplus = max(dist_kplus.items(), key=lambda kv: (kv[1], -kv[0]))[0]
+        kplus = int(np.bincount(chain.records.K_plus).argmax())
     else:
         try:
             kplus = int(args.kplus)
@@ -509,50 +318,33 @@ def cmd_identify(args):
             raise ConfigError(f"--kplus must be 'auto' or an integer, "
                               f"got {args.kplus!r}") from None
     filtered = filter_to_kplus(chain, kplus)
+    # only the assignments are read below; free the padded columns
+    S_all, chain = chain.records.S, None
     identified = ppr_identify(filtered, np.random.default_rng(args.seed))
     summary = posterior_summary(identified)
 
-    out_dir = args.out
-    os.makedirs(out_dir, exist_ok=True)
-    paths = {"kplus_distribution": os.path.join(out_dir,
-                                                "kplus_distribution.csv"),
-             "cluster_summary": os.path.join(out_dir, "cluster_summary.csv")}
-    with open(paths["kplus_distribution"], "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["k_plus", "frequency"])
-        for k, freq in dist_kplus.items():
-            writer.writerow([k, _fmt(freq)])
+    os.makedirs(args.out, exist_ok=True)
+    paths = {}
 
-    r = summary.mean_mu.shape[1]
-    il, jl = np.tril_indices(r)
-    with open(paths["cluster_summary"], "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["cluster", "mean_size", "mean_eta"]
-                        + [f"mean_mu_{d+1}" for d in range(r)]
-                        + [f"mean_sigma_{i+1}_{j+1}" for i, j in zip(il, jl)])
-        for rank, k in enumerate(summary.report_order, start=1):
-            writer.writerow([rank, _fmt(summary.mean_N_k[k]),
-                             _fmt(summary.mean_eta[k])]
-                            + [_fmt(v) for v in summary.mean_mu[k]]
-                            + [_fmt(v) for v in summary.mean_Sigma[k, il, jl]])
+    def out(name):
+        paths[name] = os.path.join(args.out, name + ".csv")
+        return paths[name]
+
+    write_kplus_distribution(out("kplus_distribution"), dist_kplus)
+    write_cluster_summary(out("cluster_summary"), summary)
 
     if identified.S is None:
         raise IdentificationError(
             "no assignments stored with the draws; rerun fit with "
             "--store-assignments to extract partitions")
     part_map = map_partition(identified.S)
-    paths["partition_map"] = os.path.join(out_dir, "partition_map.csv")
-    _write_partition(paths["partition_map"], part_map.labels)
-
+    write_partition(out("partition_map"), part_map.labels)
     if not args.no_vi:
-        S_all = np.array([rec.S for rec in records])
         part_vi = vi_partition(S_all, thin_to=args.vi_thin)
-        paths["partition_vi"] = os.path.join(out_dir, "partition_vi.csv")
-        _write_partition(paths["partition_vi"], part_vi.labels)
+        write_partition(out("partition_vi"), part_vi.labels)
 
-    manifest_path = os.path.join(out_dir, "identify_manifest.json")
-    paths["manifest"] = manifest_path
-    _write_json_atomic(manifest_path, {
+    paths["manifest"] = os.path.join(args.out, "identify_manifest.json")
+    write_json(paths["manifest"], {
         "draws": os.path.abspath(args.draws),
         "assignments": (os.path.abspath(assignments_path)
                         if assignments_path else None),
@@ -569,7 +361,8 @@ def cmd_identify(args):
     print(f"selected K+ = {kplus}")
     print(f"non-permutation rate: {identified.non_permutation_rate:.5f}")
     print(f"{'cluster':>8} {'size':>8} {'weight':>8} "
-          + " ".join(f"{'mean_' + str(d + 1):>10}" for d in range(r)))
+          + " ".join(f"{'mean_' + str(d + 1):>10}"
+                     for d in range(summary.mean_mu.shape[1])))
     for rank, k in enumerate(summary.report_order, start=1):
         print(f"{rank:>8} {summary.mean_N_k[k]:>8.2f} "
               f"{summary.mean_eta[k]:>8.3f} "
@@ -585,17 +378,6 @@ def cmd_identify(args):
 # evaluate
 
 
-def _load_partition_labels(path):
-    header, body = load_table(path)
-    if "label" in header:
-        j = header.index("label")
-    elif len(header) == 1:
-        j = 0
-    else:
-        j = len(header) - 1
-    return np.array([row[j] for row in body])
-
-
 def _load_truth_labels(path, label_col):
     header, body = load_table(path)
     if len(header) == 1 and label_col is None:
@@ -607,7 +389,7 @@ def _load_truth_labels(path, label_col):
 
 
 def cmd_evaluate(args):
-    est = _load_partition_labels(args.partition)
+    est = parse_partition(args.partition)
     truth = _load_truth_labels(args.truth, args.label_col)
     if est.size != truth.size:
         raise UnreadableInputError(
@@ -625,10 +407,9 @@ def cmd_evaluate(args):
         cells = " ".join(f"{int(v):>6}" for v in row)
         print(f"{str(lab):>{width}} {cells}")
 
-    out_dir = args.out
-    os.makedirs(out_dir, exist_ok=True)
-    metrics_path = os.path.join(out_dir, "metrics.json")
-    _write_json_atomic(metrics_path, {
+    os.makedirs(args.out, exist_ok=True)
+    metrics_path = os.path.join(args.out, "metrics.json")
+    write_json(metrics_path, {
         "ari": score,
         "mcr": result.mcr,
         "confusion": result.table.tolist(),
@@ -644,10 +425,6 @@ def cmd_evaluate(args):
 
 # ---------------------------------------------------------------------------
 # argument parsing
-
-
-def _default_out():
-    return os.environ.get("BGMIX_OUT_DIR", ".")
 
 
 def _csv_list(text):
@@ -673,8 +450,6 @@ def build_parser():
     fit.add_argument("data", nargs="?", help="input CSV (header row required)")
     fit.add_argument("--config", help="JSON config or manifest from a "
                                       "previous run")
-    fit.add_argument("--out", default=_default_out(),
-                     help="output directory (default: $BGMIX_OUT_DIR or .)")
     fit.add_argument("--mode", choices=sorted(_MODES),
                      help="sampler mode (default fixed-k)")
     fit.add_argument("--k", type=int, help="number of components (required "
@@ -719,8 +494,6 @@ def build_parser():
     ident.add_argument("draws", help="draws CSV from fit")
     ident.add_argument("--assignments",
                        help="assignments CSV (default: alongside draws)")
-    ident.add_argument("--out", default=_default_out(),
-                       help="output directory (default: $BGMIX_OUT_DIR or .)")
     ident.add_argument("--kplus", default="auto",
                        help="number of clusters to identify, or 'auto' for "
                             "the posterior mode")
@@ -739,28 +512,27 @@ def build_parser():
                                   "dataset with a label column")
     ev.add_argument("--label-col", dest="label_col",
                     help="label column in the truth file")
-    ev.add_argument("--out", default=_default_out(),
-                    help="output directory (default: $BGMIX_OUT_DIR or .)")
     ev.set_defaults(func=cmd_evaluate)
+
+    for cmd in (fit, ident, ev):
+        cmd.add_argument("--out", default=os.environ.get("BGMIX_OUT_DIR", "."),
+                         help="output directory (default: $BGMIX_OUT_DIR "
+                              "or .)")
     return parser
+
+
+_EXIT_CODES = {UnreadableInputError: 2, ConfigError: 3, SamplerError: 4,
+               EmptySelectionError: 5, IdentificationError: 5}
 
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except UnreadableInputError as exc:
+    except tuple(_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except SamplerError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except (EmptySelectionError, IdentificationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 5
+        return next(code for cls, code in _EXIT_CODES.items()
+                    if isinstance(exc, cls))
 
 
 if __name__ == "__main__":

@@ -25,14 +25,19 @@ from . import distributions as dist
 # configuration types
 
 
+def _require_finite_positive(**values):
+    for name, v in values.items():
+        if not (np.isfinite(v) and v > 0):
+            raise ValueError(f"{name} must be finite and positive, got {v}")
+
+
 @dataclass(frozen=True)
 class FixedGamma:
     """Constant Dirichlet parameter, whatever the number of components."""
     gamma: float
 
     def __post_init__(self):
-        if self.gamma <= 0:
-            raise ValueError("gamma must be positive")
+        _require_finite_positive(gamma=self.gamma)
 
     def gamma_for(self, K):
         return self.gamma
@@ -44,8 +49,7 @@ class DynamicGamma:
     alpha: float
 
     def __post_init__(self):
-        if self.alpha <= 0:
-            raise ValueError("alpha must be positive")
+        _require_finite_positive(alpha=self.alpha)
 
     def gamma_for(self, K):
         return self.alpha / K
@@ -78,8 +82,7 @@ class RandomK:
     k_init: int = 10
 
     def __post_init__(self):
-        if not (self.a_l > 0 and self.a_pi > 0 and self.b_pi > 0):
-            raise ValueError("BNB parameters must be positive")
+        _require_finite_positive(a_l=self.a_l, a_pi=self.a_pi, b_pi=self.b_pi)
         if not 1 <= self.k_init <= self.k_max:
             raise ValueError(f"need 1 <= k_init <= k_max, got "
                              f"k_init={self.k_init}, k_max={self.k_max}")
@@ -166,6 +169,8 @@ class ChainConfig:
             raise ValueError("burn_in must satisfy 0 <= burn_in < n_iter")
         if self.thinning < 1:
             raise ValueError("thinning must be at least 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
 
 
 # ---------------------------------------------------------------------------
@@ -178,8 +183,7 @@ def build_default_prior(data, c=2.5, phi=0.75, gamma_spec=None, k_prior=None):
     Raises on degenerate input: fewer than two observations or a
     zero-range column would produce a singular B0 or S.
     """
-    if c <= 0 or phi <= 0:
-        raise ValueError("c and phi must be positive")
+    _require_finite_positive(c=c, phi=phi)
     y = data.y
     if data.n < 2:
         raise ValueError("prior construction needs at least two observations")

@@ -80,11 +80,9 @@ def _as_labels(partition):
 
 def kplus_distribution(chain):
     """Relative frequency of the number of filled clusters across records."""
-    counts = {}
-    for rec in chain.records:
-        counts[rec.K_plus] = counts.get(rec.K_plus, 0) + 1
-    total = len(chain.records)
-    return {k: counts[k] / total for k in sorted(counts)}
+    counts = np.bincount(chain.records.K_plus)
+    ks = np.flatnonzero(counts)
+    return dict(zip(ks.tolist(), (counts[ks] / counts.sum()).tolist()))
 
 
 def filter_to_kplus(chain, k_plus):
@@ -93,27 +91,22 @@ def filter_to_kplus(chain, k_plus):
     Filled components keep their relative order; assignments are remapped
     to the compacted slots when they were stored.
     """
-    keep, eta, mu, Sigma, N_k, S = [], [], [], [], [], []
-    have_S = all(rec.S is not None for rec in chain.records)
-    for t, rec in enumerate(chain.records):
-        if rec.K_plus != k_plus:
-            continue
-        filled = np.flatnonzero(rec.N_k > 0)
-        keep.append(t)
-        eta.append(rec.eta[filled])
-        mu.append(rec.mu[filled])
-        Sigma.append(rec.Sigma[filled])
-        N_k.append(rec.N_k[filled])
-        if have_S:
-            remap = np.full(rec.K, -1)
-            remap[filled] = np.arange(k_plus)
-            S.append(remap[rec.S])
-    if not keep:
+    draws = chain.records
+    keep = np.flatnonzero(draws.K_plus == k_plus)
+    if keep.size == 0:
         raise EmptySelectionError(f"no sweep has {k_plus} filled clusters")
+    filled = draws.N_k[keep] > 0
+    # a stable sort puts the filled slots first, in their relative order
+    slots = (keep[:, None],
+             np.argsort(~filled, axis=1, kind="stable")[:, :k_plus])
+    S = None
+    if draws.S is not None:
+        rank = np.cumsum(filled, axis=1) - 1     # slot -> compacted slot
+        S = np.take_along_axis(rank, draws.S[keep], axis=1)
     return FilteredDraws(
-        k_plus=k_plus, sweep_indices=np.array(keep),
-        eta=np.array(eta), mu=np.array(mu), Sigma=np.array(Sigma),
-        N_k=np.array(N_k), S=np.array(S) if have_S else None)
+        k_plus=k_plus, sweep_indices=keep, eta=draws.eta[slots],
+        mu=draws.mu[slots], Sigma=draws.Sigma[slots], N_k=draws.N_k[slots],
+        S=S)
 
 
 def ppr_identify(filtered, rng):
@@ -149,19 +142,19 @@ def ppr_identify(filtered, rng):
 
     perms = lab[kept]
     idx = np.arange(kept.size)[:, None]
-    eta = np.empty_like(filtered.eta[kept])
-    mu = np.empty_like(filtered.mu[kept])
-    Sigma = np.empty_like(filtered.Sigma[kept])
-    N_k = np.empty_like(filtered.N_k[kept])
-    eta[idx, perms] = filtered.eta[kept]
-    mu[idx, perms] = filtered.mu[kept]
-    Sigma[idx, perms] = filtered.Sigma[kept]
-    N_k[idx, perms] = filtered.N_k[kept]
+
+    def relabel(col):
+        out = np.empty_like(col[kept])
+        out[idx, perms] = col[kept]
+        return out
+
     S = None
     if filtered.S is not None:
         S = np.take_along_axis(perms, filtered.S[kept], axis=1)
-    return IdentifiedDraws(k_plus=kp, kept=kept, non_permutation_rate=rate,
-                           eta=eta, mu=mu, Sigma=Sigma, N_k=N_k, S=S)
+    return IdentifiedDraws(
+        k_plus=kp, kept=kept, non_permutation_rate=rate,
+        eta=relabel(filtered.eta), mu=relabel(filtered.mu),
+        Sigma=relabel(filtered.Sigma), N_k=relabel(filtered.N_k), S=S)
 
 
 def posterior_summary(identified):
@@ -190,9 +183,8 @@ def map_partition(S):
         raise ValueError("need a (T, N) array of assignments")
     kmax = int(S.max()) + 1
     N = S.shape[1]
-    counts = np.zeros((N, kmax), dtype=int)
-    for t in range(S.shape[0]):
-        np.add.at(counts, (np.arange(N), S[t]), 1)
+    counts = np.bincount((np.arange(N) * kmax + S).ravel(),
+                         minlength=N * kmax).reshape(N, kmax)
     modal = counts.argmax(axis=1)
     used = np.unique(modal)
     remap = np.zeros(kmax, dtype=int)
@@ -216,17 +208,10 @@ def coallocation_matrix(S):
 def _canonical_rows(S):
     """Relabel each row by order of first appearance so equal partitions match."""
     out = np.empty_like(S)
-    for t in range(S.shape[0]):
-        first = {}
-        row = S[t]
-        canon = np.empty_like(row)
-        nxt = 0
-        for i, v in enumerate(row):
-            if v not in first:
-                first[v] = nxt
-                nxt += 1
-            canon[i] = first[v]
-        out[t] = canon
+    for t, row in enumerate(S):
+        _, first, inverse = np.unique(row, return_index=True,
+                                      return_inverse=True)
+        out[t] = np.argsort(np.argsort(first))[inverse]
     return out
 
 

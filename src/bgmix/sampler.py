@@ -13,7 +13,6 @@ All updates are written against stacked arrays so a sweep costs a fixed
 number of numpy calls regardless of K.
 """
 
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,22 +32,41 @@ class SamplerError(RuntimeError):
 
 
 @dataclass
-class SweepRecord:
-    iter: int
-    K: int
-    K_plus: int
-    eta: np.ndarray
-    mu: np.ndarray
-    Sigma: np.ndarray
-    N_k: np.ndarray
-    S: np.ndarray          # None when assignments are not stored
-    log_lik: float
+class Draws:
+    """Stored sweeps as columns, one row per sweep.
+
+    Component columns are zero-padded to W, the widest K stored: row t
+    holds its K[t] components in the leading slots. S is None when
+    assignments are not stored.
+    """
+    iter: np.ndarray       # (T,)
+    K: np.ndarray          # (T,)
+    K_plus: np.ndarray     # (T,)
+    eta: np.ndarray        # (T, W)
+    mu: np.ndarray         # (T, W, r)
+    Sigma: np.ndarray      # (T, W, r, r)
+    N_k: np.ndarray        # (T, W)
+    S: np.ndarray          # (T, N) or None
+
+    def __len__(self):
+        return self.iter.size
+
+    @classmethod
+    def from_sweeps(cls, sweeps, S=None):
+        """Pad (iter, K, K_plus, eta, mu, Sigma, N_k) tuples into a table."""
+        lead = np.array([sweep[:3] for sweep in sweeps], dtype=int)
+        T, W, r = len(sweeps), lead[:, 1].max(), sweeps[0][4].shape[1]
+        cols = (np.zeros((T, W)), np.zeros((T, W, r)),
+                np.zeros((T, W, r, r)), np.zeros((T, W), dtype=int))
+        for t, sweep in enumerate(sweeps):
+            for col, value in zip(cols, sweep[3:]):
+                col[t, :len(value)] = value
+        return cls(lead[:, 0], lead[:, 1], lead[:, 2], *cols, S)
 
 
 @dataclass
 class ChainOutput:
-    records: list
-    wall_time: float
+    records: Draws
     trace: dict = field(default_factory=dict)
 
 
@@ -280,7 +298,7 @@ def run_chain(data, prior, config, rng=None):
     Returns
     -------
     ChainOutput
-        Records cover post-burn-in sweeps at the configured thinning;
+        Records hold the post-burn-in sweeps at the configured thinning;
         the trace dict carries per-iteration series for every sweep
         including burn-in.
     """
@@ -289,14 +307,15 @@ def run_chain(data, prior, config, rng=None):
     telescoping = isinstance(prior.k_prior, RandomK)
     k_init = prior.k_prior.k_init if telescoping else prior.k_prior.K
 
-    t0 = time.perf_counter()
     state = init_from_kmeans(data, prior, k_init, rng)
     M, burn, thin = config.n_iter, config.burn_in, config.thinning
-    records = []
-    trace_loglik = np.empty(M)
-    trace_K = np.empty(M, dtype=int)
-    trace_Kplus = np.empty(M, dtype=int)
-    trace_mu1 = None if telescoping else np.empty((M, k_init))
+    sweeps = []
+    S = (np.empty((len(range(burn, M, thin)), data.n), dtype=int)
+         if config.store_assignments else None)
+    trace = {"log_lik": np.empty(M), "K": np.empty(M, dtype=int),
+             "K_plus": np.empty(M, dtype=int)}
+    if not telescoping:
+        trace["mu1"] = np.empty((M, k_init))
 
     for it in range(M):
         try:
@@ -318,22 +337,16 @@ def run_chain(data, prior, config, rng=None):
         except Exception as exc:
             raise SamplerError(f"iteration {it}: {exc}") from exc
 
-        log_lik = mixture_log_likelihood(data, state)
-        trace_loglik[it] = log_lik
-        trace_K[it] = state.K
-        trace_Kplus[it] = state.K_plus
-        if trace_mu1 is not None:
-            trace_mu1[it] = state.mu[:, 0]
+        trace["log_lik"][it] = mixture_log_likelihood(data, state)
+        trace["K"][it] = state.K
+        trace["K_plus"][it] = state.K_plus
+        if not telescoping:
+            trace["mu1"][it] = state.mu[:, 0]
         if it >= burn and (it - burn) % thin == 0:
-            records.append(SweepRecord(
-                iter=it, K=state.K, K_plus=state.K_plus,
-                eta=state.eta.copy(), mu=state.mu.copy(),
-                Sigma=state.Sigma.copy(), N_k=state.N_k.copy(),
-                S=state.S.copy() if config.store_assignments else None,
-                log_lik=log_lik))
+            if S is not None:
+                S[len(sweeps)] = state.S
+            sweeps.append((it, state.K, state.K_plus, state.eta.copy(),
+                           state.mu.copy(), state.Sigma.copy(),
+                           state.N_k.copy()))
 
-    trace = {"log_lik": trace_loglik, "K": trace_K, "K_plus": trace_Kplus}
-    if trace_mu1 is not None:
-        trace["mu1"] = trace_mu1
-    return ChainOutput(records=records, wall_time=time.perf_counter() - t0,
-                       trace=trace)
+    return ChainOutput(records=Draws.from_sweeps(sweeps, S), trace=trace)

@@ -207,7 +207,7 @@ class TestAcceptance:
     @criterion(5)
     def test_criterion_5_random_k_mixture(self, mfm_run):
         assert _kplus_mode(mfm_run["kplus"]) == 3, mfm_run["kplus"]
-        max_k = max(rec.K for rec in mfm_run["chain"].records)
+        max_k = mfm_run["chain"].records.K.max()
         assert max_k > 20, f"K never exceeded 20 (max {max_k})"
         sizes = _sorted_sizes(mfm_run["map"])
         assert np.all(np.abs(sizes - REF_SIZES) <= 2), f"sizes {sizes}"
@@ -266,8 +266,8 @@ class TestAcceptance:
                                     k_prior=FixedK(1))
         out = run_chain(data, prior,
                         ChainConfig(n_iter=40000, burn_in=2000, seed=70))
-        mu = np.array([rec.mu[0, 0] for rec in out.records])
-        sig2 = np.array([rec.Sigma[0, 0, 0] for rec in out.records])
+        mu = out.records.mu[:, 0, 0]
+        sig2 = out.records.Sigma[:, 0, 0, 0]
         np.testing.assert_allclose(mu.mean(), ORACLE_E_MU, rtol=0.05)
         np.testing.assert_allclose(mu.var(ddof=1), ORACLE_V_MU, rtol=0.05)
         np.testing.assert_allclose(sig2.mean(), ORACLE_E_SIGMA2, rtol=0.05)
@@ -298,7 +298,7 @@ class TestAcceptance:
                                      k_prior=FixedK(2))
         out2 = run_chain(pair, prior2,
                          ChainConfig(n_iter=40000, burn_in=2000, seed=72))
-        p_one = np.mean([rec.K_plus == 1 for rec in out2.records])
+        p_one = np.mean(out2.records.K_plus == 1)
         tv = abs(p_one - ORACLE_2OBS_P_ONE_CLUSTER)
         assert tv < 0.02, f"total variation {tv:.4f}"
 

@@ -8,7 +8,7 @@ from concurrent.futures import Future
 import numpy as np
 import pytest
 
-from bgmix import cli
+from bgmix import artifacts, cli
 from bgmix.cli import (ConfigError, UnreadableInputError, load_dataset,
                        load_table, main, parse_draws, write_draws)
 from bgmix.sampler import SamplerError
@@ -39,6 +39,17 @@ def fit_dir(tmp_path_factory, blob_csv):
     out = tmp_path_factory.mktemp("fit")
     rc = main(["fit", blob_csv, "--out", str(out), "--mode", "fixed-k",
                "--k", "2", "--iters", "400", "--burnin", "100",
+               "--seed", "7"])
+    assert rc == 0
+    return str(out)
+
+
+@pytest.fixture(scope="module")
+def mfm_fit_dir(tmp_path_factory, blob_csv):
+    """A telescoping fit, whose draws rows vary in width with K."""
+    out = tmp_path_factory.mktemp("mfm_fit")
+    rc = main(["fit", blob_csv, "--out", str(out), "--mode", "mfm",
+               "--kinit", "3", "--iters", "150", "--burnin", "50",
                "--seed", "7"])
     assert rc == 0
     return str(out)
@@ -120,7 +131,7 @@ class TestFitCommand:
             "draws", "trace", "assignments", "manifest"}
         records = parse_draws(os.path.join(fit_dir, "draws.csv"))
         assert len(records) == 300
-        assert all(rec.K == 2 for rec in records)
+        assert np.all(records.K == 2)
 
     def test_trace_format(self, fit_dir):
         header, body = load_table(os.path.join(fit_dir, "trace.csv"))
@@ -130,12 +141,78 @@ class TestFitCommand:
         iters = {int(row[0]) for row in body}
         assert min(iters) == 0 and max(iters) == 399
 
-    def test_draws_round_trip_is_byte_identical(self, fit_dir, tmp_path):
-        src = os.path.join(fit_dir, "draws.csv")
-        records = parse_draws(src)
-        dst = str(tmp_path / "rewritten.csv")
-        write_draws(dst, records, r=2)
-        assert filecmp.cmp(src, dst, shallow=False)
+    def test_draws_round_trip_is_byte_identical(self, fit_dir, mfm_fit_dir,
+                                                tmp_path):
+        for name, out in [("fixed_k", fit_dir), ("mfm", mfm_fit_dir)]:
+            src = os.path.join(out, "draws.csv")
+            records = parse_draws(src)
+            dst = str(tmp_path / f"rewritten_{name}.csv")
+            write_draws(dst, records)
+            assert filecmp.cmp(src, dst, shallow=False)
+        # the mfm rows carry their own K, so their widths differ
+        assert np.unique(records.K).size > 1
+
+    def test_draws_row_with_extra_field_exits_2(self, fit_dir, tmp_path,
+                                               capsys):
+        with open(os.path.join(fit_dir, "draws.csv")) as fh:
+            lines = fh.read().splitlines()
+        lines[1] += ",0"
+        bad = tmp_path / "draws.csv"
+        bad.write_text("\n".join(lines) + "\n")
+        rc = main(["identify", str(bad), "--out", str(tmp_path)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "needs" in err
+
+    @pytest.mark.parametrize("label", ["0", "3"])
+    def test_assignment_label_outside_k_exits_2(self, fit_dir, tmp_path,
+                                                capsys, label):
+        with open(os.path.join(fit_dir, "assignments.csv")) as fh:
+            lines = fh.read().splitlines()
+        cells = lines[1].split(",")
+        cells[1] = label                  # the fit has K = 2
+        lines[1] = ",".join(cells)
+        bad = tmp_path / "assignments.csv"
+        bad.write_text("\n".join(lines) + "\n")
+        rc = main(["identify", os.path.join(fit_dir, "draws.csv"),
+                   "--assignments", str(bad), "--out", str(tmp_path)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("write, error", [
+        (lambda p: artifacts.write_partition(p, np.arange(5000)), OSError),
+        (lambda p: artifacts.write_json(p, {"a": 1, "b": object()}),
+         TypeError),
+    ], ids=["csv", "json"])
+    def test_failed_write_keeps_existing_file(self, tmp_path, monkeypatch,
+                                              write, error):
+        path = tmp_path / "artifact"
+        path.write_bytes(b"earlier contents\n")
+        real_writer = artifacts.csv.writer
+
+        class FailingWriter:
+            """Writes a header and one row, then fails like a full disk."""
+
+            def __init__(self, fh):
+                self.inner, self.rows = real_writer(fh), 0
+
+            def writerow(self, row):
+                self.rows += 1
+                if self.rows > 2:
+                    raise OSError("no space left on device")
+                self.inner.writerow(row)
+
+            def writerows(self, rows):
+                for row in rows:
+                    self.writerow(row)
+
+        monkeypatch.setattr(artifacts.csv, "writer", FailingWriter)
+        with pytest.raises(error):
+            write(str(path))
+        assert path.read_bytes() == b"earlier contents\n"
+        assert os.listdir(tmp_path) == ["artifact"]
 
     def test_same_seed_reproduces_files(self, blob_csv, tmp_path):
         args = [blob_csv, "--mode", "fixed-k", "--k", "2", "--iters", "80",
@@ -215,6 +292,29 @@ class TestFitCommand:
     def test_invalid_k_prior_exits_3(self, blob_csv, tmp_path, capsys, flags):
         rc = main(["fit", blob_csv, "--iters", "20", "--burnin", "5",
                    "--out", str(tmp_path)] + flags)
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("flags", [
+        ["--mode", "fixed-k", "--k", "2", "--gamma", "nan"],
+        ["--mode", "fixed-k", "--k", "2", "--gamma", "inf"],
+        ["--mode", "fixed-k", "--k", "2", "--phi", "nan"],
+        ["--mode", "fixed-k", "--k", "2", "--c", "inf"],
+        ["--mode", "mfm", "--alpha", "nan"],
+    ])
+    def test_non_finite_hyperparameter_exits_3(self, blob_csv, tmp_path,
+                                               capsys, flags):
+        rc = main(["fit", blob_csv, "--iters", "20", "--burnin", "5",
+                   "--out", str(tmp_path)] + flags)
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_negative_seed_exits_3(self, blob_csv, tmp_path, capsys):
+        rc = main(["fit", blob_csv, "--mode", "fixed-k", "--k", "2",
+                   "--iters", "20", "--burnin", "5", "--seed", "-1",
+                   "--out", str(tmp_path)])
         assert rc == 3
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
@@ -357,6 +457,13 @@ class TestIdentifyCommand:
     def test_vi_thin_below_one_exits_3(self, fit_dir, tmp_path, capsys, thin):
         rc = main(["identify", os.path.join(fit_dir, "draws.csv"),
                    "--out", str(tmp_path), "--vi-thin", thin])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_negative_seed_exits_3(self, fit_dir, tmp_path, capsys):
+        rc = main(["identify", os.path.join(fit_dir, "draws.csv"),
+                   "--out", str(tmp_path), "--seed", "-1"])
         assert rc == 3
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1

@@ -1,8 +1,10 @@
-"""Pinned-seed digests of short `bgmix fit` runs in all three modes.
+"""Pinned-seed digests of short `bgmix fit` and `bgmix identify` runs.
 
 A refactor that leaves every sweep step alone must leave these bytes alone
-too: the draws, assignments and trace files of a pinned-seed chain are
-compared by SHA-256 against values recorded before the refactor. numpy
+too: the draws, assignments and trace files of a pinned-seed chain in each
+of the three modes, and the four CSV files `identify --seed 0` writes from
+them, are compared by SHA-256 against values recorded before the refactor.
+numpy
 does not promise the same Generator streams across versions, so the test
 skips when numpy's major.minor version differs from the recording one.
 """
@@ -29,6 +31,15 @@ DIGESTS = {
                            "812da3bc8300a5433f72ea9a755eaac3",
         "trace.csv": "db210023cb21a0427f70f0aa119d2940"
                      "a3b8c97cb1a1c8b83aeebb5246efb993",
+    }, {
+        "kplus_distribution.csv": "f15bcdba2dd6be8ba8eec29ab3b6281f"
+                                  "7924d445e893fa79d69521bfead5c5ba",
+        "cluster_summary.csv": "0bb6e1633a480164d69f4c5cbcab4de1"
+                               "7bf9e4175e678e9a4232c8b5a06d65f8",
+        "partition_map.csv": "05377d1126db4245d35537eb29938288"
+                             "83755a1538f70c57e8b0012f2f2dc7f2",
+        "partition_vi.csv": "1a037ccfdbeaec3c9b75413f70aa4b7e"
+                            "bdadacb1a20bda013a3a166246ab231e",
     }),
     "sfm": (["--mode", "sfm", "--k", "10", "--gamma", "0.01"], {
         "draws.csv": "484fd91ce727a66bc967e254c7650e6e"
@@ -37,6 +48,15 @@ DIGESTS = {
                            "0497fc9d9c0c8c65cec11e35588412b2",
         "trace.csv": "3214d67987e9fc08ff70235a71734a2c"
                      "dc77a91797051d435f3c9bc6dd711126",
+    }, {
+        "kplus_distribution.csv": "748bf61706ed83c561a776d686ac52f6"
+                                  "59257aefa0e16800be627939c40bb7cb",
+        "cluster_summary.csv": "ababb32d3a1a070a73dc79ed73b4e1e9"
+                               "8cc1c99af7aa5361e6a378bb0eb7caf5",
+        "partition_map.csv": "efa9906d4d58e4344d5339f3da1c5e5c"
+                             "f232dfa7eec88b6f30ff652c4e3211c9",
+        "partition_vi.csv": "9c534b805224cc0d068c06e14071931c"
+                            "9a1db7f9f8e9cf0946319e936995f591",
     }),
     "mfm": (["--mode", "mfm", "--kinit", "10"], {
         "draws.csv": "44896e252a2a0fb4d5891645aa2b8585"
@@ -45,6 +65,15 @@ DIGESTS = {
                            "594b74b1859b4d15a88c81186f56d0df",
         "trace.csv": "d77bd1575eef0e52e4f390bdf3c1178a"
                      "a10a067a3124976be12baecf46e19ae1",
+    }, {
+        "kplus_distribution.csv": "731785b726399e84a100b12188bcefd6"
+                                  "64cce74be822b5f63f925df191f96e51",
+        "cluster_summary.csv": "349d7e2b3023687b039a160547db6c69"
+                               "0fb40db1d4ce1c295a2d51438fb737a9",
+        "partition_map.csv": "85cd1725301e3aa5658526ec5658ce7b"
+                             "2e7c3d2536a76d988a8bd490be5380d1",
+        "partition_vi.csv": "d8262a45b856c0ca8940a7daae600568"
+                            "5ed9347827d088fbc3dadd1d189a9928",
     }),
 }
 
@@ -60,9 +89,16 @@ def _sha256(path):
            f"Generator streams may differ under numpy {np.__version__}")
 @pytest.mark.parametrize("mode", sorted(DIGESTS))
 def test_fit_artifacts_match_pinned_digests(mode, tmp_path):
-    flags, expected = DIGESTS[mode]
+    flags, expected, expected_identify = DIGESTS[mode]
     rc = main(["fit", DATA_PATH, "--out", str(tmp_path), "--iters", "300",
                "--burnin", "100", "--seed", "7"] + flags)
     assert rc == 0
     got = {name: _sha256(tmp_path / name) for name in expected}
     assert got == expected
+
+    rc = main(["identify", str(tmp_path / "draws.csv"), "--seed", "0",
+               "--out", str(tmp_path / "identify")])
+    assert rc == 0
+    got = {name: _sha256(tmp_path / "identify" / name)
+           for name in expected_identify}
+    assert got == expected_identify

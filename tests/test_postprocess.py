@@ -5,30 +5,47 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from bgmix.model import (ChainConfig, Dataset, FixedGamma, FixedK,
+                         build_default_prior)
 from bgmix.postprocess import (ConfusionResult, EmptySelectionError,
                                FilteredDraws, IdentificationError, Partition,
-                               ari, coallocation_matrix, confusion_and_mcr,
-                               filter_to_kplus, kplus_distribution,
-                               map_partition, posterior_summary, ppr_identify,
+                               _canonical_rows, ari, coallocation_matrix,
+                               confusion_and_mcr, filter_to_kplus,
+                               kplus_distribution, map_partition,
+                               posterior_summary, ppr_identify,
                                variation_of_information, vi_partition)
-from bgmix.sampler import SweepRecord
+from bgmix.sampler import ChainOutput, Draws, run_chain
 
 
 def _rec(it, eta, N_k, S=None, mu=None):
     eta = np.asarray(eta, dtype=float)
     K = eta.size
-    N_k = np.asarray(N_k)
     if mu is None:
         mu = np.arange(K * 2, dtype=float).reshape(K, 2)
-    return SweepRecord(
-        iter=it, K=K, K_plus=int(np.count_nonzero(N_k)), eta=eta,
-        mu=np.asarray(mu, dtype=float),
-        Sigma=np.broadcast_to(np.eye(2), (K, 2, 2)).copy(),
-        N_k=N_k, S=None if S is None else np.asarray(S), log_lik=0.0)
+    return dict(iter=it, K=K, K_plus=int(np.count_nonzero(N_k)), eta=eta,
+                mu=np.asarray(mu, dtype=float),
+                Sigma=np.broadcast_to(np.eye(2), (K, 2, 2)),
+                N_k=np.asarray(N_k), S=S)
 
 
 def _chain(records):
-    return SimpleNamespace(records=records)
+    """A chain whose Draws table holds the given sweeps, zero-padded."""
+    T, W = len(records), max(rec["K"] for rec in records)
+
+    def column(name, shape=(), dtype=float):
+        col = np.zeros((T, W) + shape, dtype=dtype)
+        for t, rec in enumerate(records):
+            col[t, :rec["K"]] = rec[name]
+        return col
+
+    have_S = all(rec["S"] is not None for rec in records)
+    return ChainOutput(records=Draws(
+        iter=np.array([rec["iter"] for rec in records]),
+        K=np.array([rec["K"] for rec in records]),
+        K_plus=np.array([rec["K_plus"] for rec in records]),
+        eta=column("eta"), mu=column("mu", (2,)),
+        Sigma=column("Sigma", (2, 2)), N_k=column("N_k", dtype=int),
+        S=np.array([rec["S"] for rec in records]) if have_S else None))
 
 
 class TestKplusDistribution:
@@ -79,6 +96,33 @@ class TestFilterToKplus:
         chain = _chain([_rec(0, [0.5, 0.5], [3, 2])])
         filt = filter_to_kplus(chain, 2)
         assert filt.S is None
+
+    def test_matches_per_sweep_loop_on_sparse_chain(self):
+        """In a sparse chain empty slots sit anywhere; the column version
+        must equal the per-sweep loop it replaced."""
+        rng = np.random.default_rng(5)
+        y = np.concatenate([rng.normal(0.0, 1.0, (30, 2)),
+                            rng.normal(6.0, 1.0, (30, 2))])
+        data = Dataset(y=y, feature_names=["a", "b"])
+        prior = build_default_prior(data, gamma_spec=FixedGamma(0.01),
+                                    k_prior=FixedK(6))
+        chain = run_chain(data, prior,
+                          ChainConfig(n_iter=150, burn_in=50, seed=3))
+        d = chain.records
+        filt = filter_to_kplus(chain, 2)
+        expected = [t for t in range(len(d)) if d.K_plus[t] == 2]
+        assert len(expected) > 0
+        np.testing.assert_array_equal(filt.sweep_indices, expected)
+        for row, t in enumerate(expected):
+            filled = np.flatnonzero(d.N_k[t] > 0)
+            remap = np.full(d.K[t], -1)
+            remap[filled] = np.arange(2)
+            np.testing.assert_array_equal(filt.eta[row], d.eta[t, filled])
+            np.testing.assert_array_equal(filt.mu[row], d.mu[t, filled])
+            np.testing.assert_array_equal(filt.Sigma[row],
+                                          d.Sigma[t, filled])
+            np.testing.assert_array_equal(filt.N_k[row], d.N_k[t, filled])
+            np.testing.assert_array_equal(filt.S[row], remap[d.S[t]])
 
 
 def _switched_draws(rng, T=40, noise=0.05, corrupt=()):
@@ -191,6 +235,17 @@ class TestMapPartition:
         with pytest.raises(ValueError):
             map_partition(np.array([0, 1, 1]))
 
+    def test_matches_per_sweep_counting(self):
+        S = np.random.default_rng(9).integers(0, 4, (50, 30))
+        counts = np.zeros((30, 4), dtype=int)
+        for t in range(S.shape[0]):
+            np.add.at(counts, (np.arange(30), S[t]), 1)
+        modal = counts.argmax(axis=1)
+        part = map_partition(S)
+        # labels 1..n_groups in the order of the modal labels
+        np.testing.assert_array_equal(
+            part.labels, np.searchsorted(np.unique(modal), modal) + 1)
+
 
 class TestCoallocation:
 
@@ -275,6 +330,15 @@ class TestViPartition:
     def test_needs_two_sweeps(self):
         with pytest.raises(ValueError):
             vi_partition(np.array([[0, 1, 1]]))
+
+    def test_canonical_rows_match_first_appearance_loop(self):
+        S = np.random.default_rng(4).integers(0, 5, (40, 12))
+        expected = np.empty_like(S)
+        for t, row in enumerate(S):
+            first = {}
+            for i, v in enumerate(row):
+                expected[t, i] = first.setdefault(v, len(first))
+        np.testing.assert_array_equal(_canonical_rows(S), expected)
 
 
 class TestAri:

@@ -383,11 +383,10 @@ class TestRunChain:
         cfg = ChainConfig(n_iter=50, burn_in=10, thinning=4, seed=31)
         out = run_chain(data, prior, cfg)
         assert len(out.records) == 10
-        assert [rec.iter for rec in out.records][:3] == [10, 14, 18]
-        for rec in out.records:
-            assert rec.eta.shape == (2,)
-            assert rec.S.shape == (60,)
-            assert np.isfinite(rec.log_lik)
+        assert out.records.iter.tolist()[:3] == [10, 14, 18]
+        assert out.records.eta.shape == (10, 2)
+        assert out.records.S.shape == (10, 60)
+        assert np.all(np.isfinite(out.trace["log_lik"][out.records.iter]))
 
     def test_trace_covers_every_iteration(self):
         data, prior = self._setup()
@@ -403,47 +402,49 @@ class TestRunChain:
         cfg = ChainConfig(n_iter=20, burn_in=5, seed=33,
                           store_assignments=False)
         out = run_chain(data, prior, cfg)
-        assert all(rec.S is None for rec in out.records)
+        assert out.records.S is None
 
     def test_same_seed_reproduces_exactly(self):
         data, prior = self._setup()
         cfg = ChainConfig(n_iter=60, burn_in=20, seed=34)
         a = run_chain(data, prior, cfg)
         b = run_chain(data, prior, cfg)
-        for ra, rb in zip(a.records, b.records):
-            np.testing.assert_array_equal(ra.mu, rb.mu)
-            np.testing.assert_array_equal(ra.Sigma, rb.Sigma)
-            np.testing.assert_array_equal(ra.S, rb.S)
+        np.testing.assert_array_equal(a.records.mu, b.records.mu)
+        np.testing.assert_array_equal(a.records.Sigma, b.records.Sigma)
+        np.testing.assert_array_equal(a.records.S, b.records.S)
 
     def test_records_are_decoupled_from_state(self):
         data, prior = self._setup()
         out = run_chain(data, prior, ChainConfig(n_iter=25, burn_in=20,
                                                  seed=35))
-        first = out.records[0].mu.copy()
-        out.records[1].mu[:] = 0.0
-        np.testing.assert_array_equal(out.records[0].mu, first)
+        first = out.records.mu[0].copy()
+        out.records.mu[1] = 0.0
+        np.testing.assert_array_equal(out.records.mu[0], first)
 
     def test_telescoping_varies_k(self):
         data, prior = self._setup("telescoping")
         cfg = ChainConfig(n_iter=300, burn_in=50, seed=36)
         out = run_chain(data, prior, cfg)
-        ks = np.array([rec.K for rec in out.records])
-        kplus = np.array([rec.K_plus for rec in out.records])
+        ks = out.records.K
+        kplus = out.records.K_plus
         assert np.all(kplus <= ks)
         assert len(np.unique(ks)) > 1
         assert "mu1" not in out.trace
-        for rec in out.records:
-            assert rec.eta.shape == (rec.K,)
-            assert rec.N_k.shape == (rec.K,)
+        # columns are as wide as the widest K; slots past a row's K are zero
+        assert out.records.eta.shape[1] == ks.max()
+        assert out.records.N_k.shape[1] == ks.max()
+        for eta, N_k, K, K_plus in zip(out.records.eta, out.records.N_k,
+                                       ks, kplus):
+            assert np.all(eta[K:] == 0)
             # filled components are compacted to the leading slots
-            assert np.all(rec.N_k[:rec.K_plus] > 0)
-            assert np.all(rec.N_k[rec.K_plus:] == 0)
+            assert np.all(N_k[:K_plus] > 0)
+            assert np.all(N_k[K_plus:] == 0)
 
     def test_telescoping_recovers_two_groups(self):
         data, prior = self._setup("telescoping")
         cfg = ChainConfig(n_iter=800, burn_in=200, seed=37)
         out = run_chain(data, prior, cfg)
-        kplus = np.array([rec.K_plus for rec in out.records])
+        kplus = out.records.K_plus
         values, counts = np.unique(kplus, return_counts=True)
         assert values[np.argmax(counts)] == 2
 
@@ -469,6 +470,6 @@ class TestRunChain:
         cfg = ChainConfig(n_iter=120, burn_in=40, seed=39,
                           permutation_step=True)
         out = run_chain(data, prior, cfg)
-        kplus = np.array([rec.K_plus for rec in out.records])
+        kplus = out.records.K_plus
         assert np.all(kplus == 2)
         assert np.all(np.isfinite(out.trace["log_lik"]))
