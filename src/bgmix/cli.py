@@ -113,13 +113,35 @@ def load_dataset(path, features=None, label_col=None):
 
 _MODES = ("fixed-k", "sfm", "mfm")
 
-# every config key with its default, in the order the manifest echoes them;
-# None marks a key without one or with a default that depends on the mode
-_CONFIG_DEFAULTS = {
-    "data": None, "mode": "fixed-k", "k": None, "gamma": None, "alpha": None,
-    "bnb": None, "kmax": 100, "kinit": 10, "iters": 30000, "burnin": 5000,
-    "thin": 1, "seed": 0, "c": 2.5, "phi": 0.75, "store_assignments": True,
-    "permute": False, "chains": 1, "features": None, "label_col": None,
+
+def _is_number(v):
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+# (check, what it wants) for a config-file value
+_STRING = (lambda v: isinstance(v, str), "a string")
+_NUMBER = (_is_number, "a number")
+_INTEGER = (lambda v: _is_number(v) and isinstance(v, int), "an integer")
+_FLAG = (lambda v: isinstance(v, bool), "true or false")
+_TRIPLE = (lambda v: (isinstance(v, list) and len(v) == 3
+                      and all(map(_is_number, v))), "a list of three numbers")
+_NAMES = (lambda v: isinstance(v, str) or (
+    isinstance(v, list) and all(isinstance(t, str) for t in v)),
+    "a string or a list of strings")
+
+# every config key with its default and the value it takes, in the order
+# the manifest echoes them; a None default marks a key without one or
+# with a default that depends on the mode
+_CONFIG_KEYS = {
+    "data": (None, _STRING), "mode": ("fixed-k", _STRING),
+    "k": (None, _INTEGER), "gamma": (None, _NUMBER),
+    "alpha": (None, _NUMBER), "bnb": (None, _TRIPLE),
+    "kmax": (100, _INTEGER), "kinit": (10, _INTEGER),
+    "iters": (30000, _INTEGER), "burnin": (5000, _INTEGER),
+    "thin": (1, _INTEGER), "seed": (0, _INTEGER), "c": (2.5, _NUMBER),
+    "phi": (0.75, _NUMBER), "store_assignments": (True, _FLAG),
+    "permute": (False, _FLAG), "chains": (1, _INTEGER),
+    "features": (None, _NAMES), "label_col": (None, _STRING),
 }
 # mfm's alpha default applies only when gamma is not given either
 _MODE_DEFAULTS = {"fixed-k": {"gamma": 1.0}, "sfm": {"k": 10, "gamma": 0.01},
@@ -135,16 +157,24 @@ def _load_config_file(path):
         raise UnreadableInputError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
-    if not isinstance(raw, dict):
-        raise ConfigError(f"{path}: config must be a JSON object")
     expected_hash = None
-    if "config_echo" in raw:
+    if isinstance(raw, dict) and "config_echo" in raw:
         expected_hash = raw.get("dataset_hash")
         raw = raw["config_echo"]
-    unknown = set(raw) - set(_CONFIG_DEFAULTS)
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{path}: config must be a JSON object")
+    unknown = set(raw) - set(_CONFIG_KEYS)
     if unknown:
         raise ConfigError(f"{path}: unknown config keys: "
                           f"{', '.join(sorted(unknown))}")
+    # null leaves a key unset, as if the file did not name it
+    for name, value in raw.items():
+        valid, wanted = _CONFIG_KEYS[name][1]
+        if value is not None and not valid(value):
+            raise ConfigError(f"{path}: config key {name!r} must be "
+                              f"{wanted}, not {json.dumps(value)}")
+    if isinstance(raw.get("features"), str):
+        raw["features"] = _csv_list(raw["features"])
     return raw, expected_hash
 
 
@@ -163,7 +193,7 @@ def _resolve_fit_config(args):
         return default
 
     cfg = {name: pick(name, default)
-           for name, default in _CONFIG_DEFAULTS.items()}
+           for name, (default, _) in _CONFIG_KEYS.items()}
     mode = cfg["mode"]
     if mode not in _MODES:
         raise ConfigError(f"unknown mode {mode!r} (choose from "

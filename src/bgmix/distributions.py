@@ -11,6 +11,8 @@ is the distribution of the inverse of such a draw, with mean
 in this module; everything else calls these functions.
 """
 
+from functools import lru_cache
+
 import numpy as np
 from scipy.special import betaln, gammaln
 
@@ -79,6 +81,17 @@ def sample_mvnormal_batch(b, B, rng):
     return b + np.einsum("kij,kj->ki", L, z)
 
 
+@lru_cache(maxsize=16)
+def _strict_lower(r):
+    """Row and column indices of the strict lower triangle of an r x r matrix.
+
+    Cached per r and shared by every caller, so the arrays are read-only.
+    """
+    il, jl = np.tril_indices(r, -1)
+    il.flags.writeable = jl.flags.writeable = False
+    return il, jl
+
+
 def sample_wishart_batch(alpha, V, rng):
     """Stacked W(alpha[k], V[k]) draws via the Bartlett decomposition.
 
@@ -98,7 +111,7 @@ def sample_wishart_batch(alpha, V, rng):
     A = np.zeros((m, r, r))
     idx = np.arange(r)
     A[:, idx, idx] = np.sqrt(rng.chisquare(df))
-    il, jl = np.tril_indices(r, -1)
+    il, jl = _strict_lower(r)
     if il.size:
         A[:, il, jl] = rng.standard_normal((m, il.size))
     LA = L @ A

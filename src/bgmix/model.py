@@ -211,20 +211,24 @@ def build_default_prior(data, c=2.5, phi=0.75, gamma_spec=None, k_prior=None):
 # likelihoods
 
 
-def _log_weighted_densities(data, state):
+def log_weighted_densities(data, state):
+    """(N, K) matrix of log eta_k + log f_N(y_i | mu_k, Sigma_k)."""
     with np.errstate(divide="ignore"):
         log_eta = np.log(state.eta)
     return log_eta[None, :] + dist.log_mvnormal_density_batch(
         data.y, state.mu, state.Sigma)
 
 
-def mixture_log_likelihood(data, state):
+def mixture_log_likelihood(data, state, logm=None):
     """Sum over observations of log sum_k eta_k f_N(y_i | mu_k, Sigma_k).
 
-    The inner sum is evaluated over sorted terms, which makes the value
-    bit-identical under any permutation of the component labels.
+    logm is log_weighted_densities(data, state) when the caller already
+    holds it; it is computed here otherwise. The inner sum is evaluated
+    over sorted terms, which makes the value bit-identical under any
+    permutation of the component labels.
     """
-    logm = _log_weighted_densities(data, state)
+    if logm is None:
+        logm = log_weighted_densities(data, state)
     rowmax = logm.max(axis=1)
     if np.any(np.isneginf(rowmax)):
         return float("-inf")
@@ -234,7 +238,7 @@ def mixture_log_likelihood(data, state):
 
 def complete_data_log_likelihood(data, state):
     """Sum over observations of log eta_{S_i} + log f_N(y_i | mu_{S_i}, Sigma_{S_i})."""
-    logm = _log_weighted_densities(data, state)
+    logm = log_weighted_densities(data, state)
     return float(logm[np.arange(data.n), state.S].sum())
 
 

@@ -10,7 +10,12 @@ The type of the prior's k_prior picks the sweep:
   from the prior.
 
 All updates are written against stacked arrays so a sweep costs a fixed
-number of numpy calls regardless of K.
+number of numpy calls regardless of K. A sweep evaluates the (N, K)
+matrix of log-weighted component densities once: built at the end of a
+sweep, it gives the trace log-likelihood and then the next sweep's
+classification, which sees the same state. Functions of the prior alone
+(gamma_K and the prior of K over 1..k_max) are computed once per
+chain.
 """
 
 from dataclasses import dataclass, field
@@ -20,7 +25,8 @@ from scipy.special import gammaln
 
 from . import distributions as dist
 from .clustering import kmeans
-from .model import MixtureState, RandomK, mixture_log_likelihood
+from .model import (MixtureState, RandomK, log_weighted_densities,
+                    mixture_log_likelihood)
 
 
 class NumericalError(RuntimeError):
@@ -102,12 +108,14 @@ def init_from_kmeans(data, prior, K, rng):
 # conditional updates
 
 
-def step_classify(data, state, rng):
-    """Redraw every assignment S_i from its conditional given the parameters."""
-    with np.errstate(divide="ignore"):
-        log_eta = np.log(state.eta)
-    logp = log_eta[None, :] + dist.log_mvnormal_density_batch(
-        data.y, state.mu, state.Sigma)
+def step_classify(data, state, rng, logp=None):
+    """Redraw every assignment S_i from its conditional given the parameters.
+
+    logp is log_weighted_densities(data, state) when the caller already
+    holds it; it is computed here otherwise.
+    """
+    if logp is None:
+        logp = log_weighted_densities(data, state)
     rowmax = logp.max(axis=1)
     dead = np.isneginf(rowmax)
     if np.any(dead):
@@ -142,15 +150,19 @@ def step_component_params(data, state, prior, rng):
     Sig_inv = np.linalg.inv(state.Sigma)
     Bk = np.linalg.inv(B0_inv[None, :, :] + Nk[:, None, None] * Sig_inv)
     Bk = 0.5 * (Bk + np.transpose(Bk, (0, 2, 1)))
-    sums = np.zeros((K, r))
-    np.add.at(sums, state.S, data.y)
+    # bincount adds each bin's weights in index order, as np.add.at does
+    cell = state.S[:, None] * r + np.arange(r)
+    sums = np.bincount(cell.ravel(), weights=data.y.ravel(),
+                       minlength=K * r).reshape(K, r)
     rhs = (B0_inv @ prior.b0)[None, :] + np.einsum("kij,kj->ki", Sig_inv, sums)
     bk = np.einsum("kij,kj->ki", Bk, rhs)
     state.mu = dist.sample_mvnormal_batch(bk, Bk, rng)
 
     dev = data.y - state.mu[state.S]
-    scatter = np.zeros((K, r, r))
-    np.add.at(scatter, state.S, dev[:, :, None] * dev[:, None, :])
+    cell = state.S[:, None] * (r * r) + np.arange(r * r)
+    scatter = np.bincount(cell.ravel(),
+                          weights=(dev[:, :, None] * dev[:, None, :]).ravel(),
+                          minlength=K * r * r).reshape(K, r, r)
     Ck = state.C0[None, :, :] + 0.5 * scatter
     state.Sigma = dist.sample_inv_wishart_batch(prior.c0 + Nk / 2.0, Ck, rng)
     return state
@@ -200,12 +212,21 @@ def _log_partition_given_k(K, N_k, gamma_K):
             + per_cluster)
 
 
-def step_sample_K(state, prior, rng):
+def _k_tables(prior):
+    """(gamma_K, log prior of K) for K = 1, ..., k_max of a RandomK prior."""
+    kp = prior.k_prior
+    Ks = np.arange(1, kp.k_max + 1)
+    gam = np.array([prior.gamma_spec.gamma_for(K) for K in Ks])
+    return gam, dist.bnb_log_pmf(Ks - 1, kp.a_l, kp.a_pi, kp.b_pi)
+
+
+def step_sample_K(state, prior, rng, k_tables=None):
     """Redraw K conditional on the current cluster sizes (telescoping step).
 
     Evaluated in log space over K in {K_plus, ..., k_max} and normalized;
     the Dirichlet parameter is resolved per candidate K, so the dynamic
-    gamma_K = alpha/K specification enters every factor.
+    gamma_K = alpha/K specification enters every factor. k_tables is
+    _k_tables(prior), computed here when not given.
     """
     kp = prior.k_prior
     if not isinstance(kp, RandomK):
@@ -214,11 +235,11 @@ def step_sample_K(state, prior, rng):
     if kp.k_max < kplus:
         raise ValueError(f"k_max = {kp.k_max} is below the current number "
                          f"of clusters {kplus}")
+    gam, log_prior_K = k_tables or _k_tables(prior)
     Kcand = np.arange(kplus, kp.k_max + 1)
-    gam = np.array([prior.gamma_spec.gamma_for(K) for K in Kcand])
     filled = state.N_k[state.N_k > 0]
-    logw = (_log_partition_given_k(Kcand, filled, gam)
-            + dist.bnb_log_pmf(Kcand - 1, kp.a_l, kp.a_pi, kp.b_pi))
+    logw = (_log_partition_given_k(Kcand, filled, gam[kplus - 1:])
+            + log_prior_K[kplus - 1:])
     logw -= logw.max()
     w = np.exp(logw)
     state.K = int(Kcand[dist.sample_categorical(w, rng)])
@@ -316,28 +337,32 @@ def run_chain(data, prior, config, rng=None):
              "K_plus": np.empty(M, dtype=int)}
     if not telescoping:
         trace["mu1"] = np.empty((M, k_init))
+    k_tables = _k_tables(prior) if telescoping else None
 
+    logp = None  # the first classify evaluates the densities itself
     for it in range(M):
         try:
+            step_classify(data, state, rng, logp)
+            logp = None  # stale from here on; do not hold it through the sweep
             if telescoping:
-                step_classify(data, state, rng)
                 compact_filled(state)
                 step_component_params(data, state, prior, rng)
-                step_sample_K(state, prior, rng)
+                step_sample_K(state, prior, rng, k_tables)
                 step_add_empty(state, prior, rng)
                 step_weights(state, prior.gamma_spec.gamma_for(state.K), rng)
                 step_hyper(state, prior, rng, filled_only=True)
             else:
-                step_classify(data, state, rng)
                 step_component_params(data, state, prior, rng)
                 step_hyper(state, prior, rng, filled_only=False)
                 step_weights(state, prior.gamma_spec.gamma_for(state.K), rng)
             if config.permutation_step:
                 permute_labels_random(state, rng)
+            # one evaluation serves the trace and the next sweep's classify
+            logp = log_weighted_densities(data, state)
+            trace["log_lik"][it] = mixture_log_likelihood(data, state, logp)
         except Exception as exc:
             raise SamplerError(f"iteration {it}: {exc}") from exc
 
-        trace["log_lik"][it] = mixture_log_likelihood(data, state)
         trace["K"][it] = state.K
         trace["K_plus"][it] = state.K_plus
         if not telescoping:

@@ -264,6 +264,25 @@ class TestFitCommand:
         assert rc == 3
         assert "sweeps" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("mode,bad", [
+        ("fixed-k", {"gamma": "0.5"}),
+        ("fixed-k", {"chains": "2"}),
+        ("fixed-k", {"permute": "yes"}),
+        ("mfm", {"bnb": [1, "4", 3]}),
+    ])
+    def test_config_value_of_wrong_type_exits_3(self, blob_csv, tmp_path,
+                                                capsys, mode, bad):
+        cfg = tmp_path / "cfg.json"
+        base = {"data": blob_csv, "mode": mode, "iters": 20, "burnin": 5}
+        if mode == "fixed-k":
+            base["k"] = 2
+        cfg.write_text(json.dumps({**base, **bad}))
+        rc = main(["fit", "--config", str(cfg), "--out", str(tmp_path)])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert repr(next(iter(bad))) in err
+
     def test_missing_data_exits_2(self, tmp_path):
         rc = main(["fit", str(tmp_path / "nope.csv"), "--mode", "fixed-k",
                    "--k", "2", "--out", str(tmp_path)])

@@ -2,11 +2,11 @@
 
 A refactor that leaves every sweep step alone must leave these bytes alone
 too: the draws, assignments and trace files of a pinned-seed chain in each
-of the three modes, and the four CSV files `identify --seed 0` writes from
-them, are compared by SHA-256 against values recorded before the refactor.
-numpy
-does not promise the same Generator streams across versions, so the test
-skips when numpy's major.minor version differs from the recording one.
+of the three modes and in fixed-k with the label permutation step, and the
+four CSV files `identify --seed 0` writes from them, are compared by
+SHA-256 against values recorded before the refactor. numpy does not
+promise the same Generator streams across versions, so the test skips
+when numpy's major.minor version differs from the recording one.
 """
 
 import hashlib
@@ -40,6 +40,23 @@ DIGESTS = {
                              "83755a1538f70c57e8b0012f2f2dc7f2",
         "partition_vi.csv": "1a037ccfdbeaec3c9b75413f70aa4b7e"
                             "bdadacb1a20bda013a3a166246ab231e",
+    }),
+    "fixed-k-permute": (["--mode", "fixed-k", "--k", "3", "--permute"], {
+        "draws.csv": "84ae461c71b9a4a08b3ad351c51bb997"
+                     "803aa8391d21aadbde1d75229e657939",
+        "assignments.csv": "ed7d7b6128edde2d91a732913b391b0a"
+                           "1c28565eec9e287984abcbac232f7e11",
+        "trace.csv": "1e56832f8e202f541cadd6ae121fca6b"
+                     "15454302d5f1a320909a0417ee670689",
+    }, {
+        "kplus_distribution.csv": "f15bcdba2dd6be8ba8eec29ab3b6281f"
+                                  "7924d445e893fa79d69521bfead5c5ba",
+        "cluster_summary.csv": "892013f9d9c0382ee2198d67a6349e36"
+                               "80cb3b46aa12252b816f5ed6734d5f3f",
+        "partition_map.csv": "2e564adb0b4f5f1bb31775235ede260d"
+                             "48e1c20140bcb2c007877fda8b400349",
+        "partition_vi.csv": "57c75ed95fb88dc311d126356c854efc"
+                            "36e7274de744bc43a829b3e7f2ff257d",
     }),
     "sfm": (["--mode", "sfm", "--k", "10", "--gamma", "0.01"], {
         "draws.csv": "484fd91ce727a66bc967e254c7650e6e"

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from bgmix import distributions as dist
 from bgmix import sampler as smp
 from bgmix.model import (ChainConfig, Dataset, DynamicGamma, FixedGamma,
                          FixedK, MixtureState, RandomK, build_default_prior,
@@ -163,6 +164,69 @@ class TestStepComponentParams:
         assert np.all(np.abs(mus.mean(axis=0) - prior.b0) < 5 * se)
         np.testing.assert_allclose(np.var(mus, axis=0), np.diag(prior.B0),
                                    rtol=0.15)
+
+    @staticmethod
+    def _three_component_state(seed):
+        """r = 3, K = 4 with slot 2 empty, labels in random order."""
+        rng = np.random.default_rng(seed)
+        y = rng.standard_normal((90, 3)) * [1.0, 30.0, 0.2] + [5, -40, 1]
+        data = Dataset(y=y, feature_names=["a", "b", "c"])
+        prior = build_default_prior(data, k_prior=FixedK(4))
+        S = rng.choice([0, 1, 3], size=90)
+        Sigma = np.array([np.diag(rng.uniform(0.5, 2.0, 3)) * [1, 900, 0.04]
+                          for _ in range(4)])
+        state = MixtureState(K=4, eta=np.full(4, 0.25),
+                             mu=rng.standard_normal((4, 3)), Sigma=Sigma,
+                             C0=prior.C0_init.copy(), S=S)
+        return data, prior, state
+
+    def test_matches_add_at_reference(self):
+        """Per-component sums and scatter matrices, accumulated with
+        np.add.at as the update was first written, give the same draw to
+        the last bit."""
+        data, prior, state = self._three_component_state(16)
+        K, r = state.K, data.r
+        Nk = state.N_k.astype(float)
+        B0_inv = np.linalg.inv(prior.B0)
+        Sig_inv = np.linalg.inv(state.Sigma)
+        Bk = np.linalg.inv(B0_inv[None, :, :] + Nk[:, None, None] * Sig_inv)
+        Bk = 0.5 * (Bk + np.transpose(Bk, (0, 2, 1)))
+        sums = np.zeros((K, r))
+        np.add.at(sums, state.S, data.y)
+        rhs = ((B0_inv @ prior.b0)[None, :]
+               + np.einsum("kij,kj->ki", Sig_inv, sums))
+        ref_rng = np.random.default_rng(17)
+        mu = dist.sample_mvnormal_batch(np.einsum("kij,kj->ki", Bk, rhs), Bk,
+                                        ref_rng)
+        dev = data.y - mu[state.S]
+        scatter = np.zeros((K, r, r))
+        np.add.at(scatter, state.S, dev[:, :, None] * dev[:, None, :])
+        Sigma = dist.sample_inv_wishart_batch(
+            prior.c0 + Nk / 2.0, state.C0[None, :, :] + 0.5 * scatter,
+            ref_rng)
+
+        step_component_params(data, state, prior, np.random.default_rng(17))
+        np.testing.assert_array_equal(state.mu, mu)
+        np.testing.assert_array_equal(state.Sigma, Sigma)
+
+    def test_mean_update_centers_on_posterior_mean(self, monkeypatch):
+        """With the normal draw replaced by its mean, mu_k is
+        (B0^-1 + N_k Sigma_k^-1)^-1 (B0^-1 b0 + Sigma_k^-1 sum_{S_i=k} y_i)."""
+        data, prior, state = self._three_component_state(18)
+        Sigma_before = state.Sigma.copy()
+        monkeypatch.setattr(dist, "sample_mvnormal_batch",
+                            lambda b, B, rng: b)
+        step_component_params(data, state, prior, np.random.default_rng(19))
+        B0_inv = np.linalg.inv(prior.B0)
+        for k in range(state.K):
+            members = data.y[state.S == k]
+            Sk_inv = np.linalg.inv(Sigma_before[k])
+            precision = B0_inv + len(members) * Sk_inv
+            expected = np.linalg.solve(
+                precision, B0_inv @ prior.b0 + Sk_inv @ members.sum(axis=0))
+            np.testing.assert_allclose(state.mu[k], expected, rtol=1e-9)
+        # the empty slot sits at the prior mean
+        np.testing.assert_allclose(state.mu[2], prior.b0, rtol=1e-12)
 
 
 class TestStepHyper:
@@ -462,6 +526,42 @@ class TestRunChain:
         monkeypatch.setattr(smp, "step_weights", boom)
         with pytest.raises(SamplerError, match="iteration 2"):
             run_chain(data, prior, ChainConfig(n_iter=10, burn_in=0, seed=38))
+
+    @pytest.mark.parametrize("mode,permute", [
+        ("fixed_k", False), ("telescoping", False), ("fixed_k", True)])
+    def test_densities_evaluated_once_per_sweep(self, monkeypatch, mode,
+                                                permute):
+        """The trace log-likelihood and the next classification share one
+        evaluation: n_iter + 1 in all, the first one before sweep 0."""
+        data, prior = self._setup(mode)
+        density = dist.log_mvnormal_density_batch
+        calls = {"n": 0}
+
+        def counted(*args, **kwargs):
+            calls["n"] += 1
+            return density(*args, **kwargs)
+
+        monkeypatch.setattr(dist, "log_mvnormal_density_batch", counted)
+        cfg = ChainConfig(n_iter=30, burn_in=10, seed=40,
+                          permutation_step=permute)
+        run_chain(data, prior, cfg)
+        assert calls["n"] == cfg.n_iter + 1
+
+    def test_end_of_sweep_density_failure_reports_iteration(self,
+                                                            monkeypatch):
+        data, prior = self._setup()
+        density = dist.log_mvnormal_density_batch
+        calls = {"n": 0}
+
+        def fails_second(*args, **kwargs):
+            calls["n"] += 1
+            if calls["n"] == 2:
+                raise ValueError("every Sigma must be positive definite")
+            return density(*args, **kwargs)
+
+        monkeypatch.setattr(dist, "log_mvnormal_density_batch", fails_second)
+        with pytest.raises(SamplerError, match="iteration 0"):
+            run_chain(data, prior, ChainConfig(n_iter=10, burn_in=0, seed=41))
 
     def test_permutation_step_leaves_posterior_alone(self):
         """With random label permutations the marginal over components is
