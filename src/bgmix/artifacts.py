@@ -114,8 +114,19 @@ def parse_assignments(path, draws):
 
 
 def parse_partition(path):
-    """Labels of a partition file: its label column, else its last column."""
+    """Labels of a partition file: its label column, else its last column.
+
+    An index column, when the header has one, must read 1, 2, ..., N in
+    order, so that row i is the label of data row i.
+    """
     header, body = load_table(path)
+    if "index" in header:
+        i = header.index("index")
+        for n, row in enumerate(body, start=1):
+            if row[i] != str(n):
+                raise UnreadableInputError(
+                    f"{path}: data row {n} has index {row[i]!r}, expected "
+                    f"{n} (the index must run 1..N in order)")
     j = header.index("label") if "label" in header else len(header) - 1
     return np.array([row[j] for row in body])
 

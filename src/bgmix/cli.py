@@ -15,7 +15,6 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -63,7 +62,8 @@ def load_dataset(path, features=None, label_col=None):
 
     Feature columns may be named explicitly; otherwise every numeric
     column is used. A single non-numeric column is taken as the true
-    labels when label_col is not given.
+    labels when label_col is not given. A feature value that parses as
+    nan or inf makes the file unreadable.
     """
     header, body = load_table(path)
     ncol = len(header)
@@ -100,6 +100,12 @@ def load_dataset(path, features=None, label_col=None):
         feat_idx = [j for j in range(ncol) if numeric[j] and j != label_idx]
     if not feat_idx:
         raise UnreadableInputError(f"{path}: no numeric feature columns")
+    for j in feat_idx:
+        bad = np.flatnonzero(~np.isfinite(parsed[j]))
+        if bad.size:
+            raise UnreadableInputError(
+                f"{path}: feature column {header[j]!r} has the non-finite "
+                f"value {body[bad[0]][j]!r} in data row {bad[0] + 1}")
 
     y = np.column_stack([parsed[j] for j in feat_idx])
     labels = parsed[label_idx] if label_idx is not None else None
@@ -290,6 +296,8 @@ def cmd_fit(args):
     if cfg["chains"] == 1:
         results.append(_fit_one(cfg, 0, args.out))
     else:
+        # imported here: its import takes 15-20 ms a single chain need not pay
+        from concurrent.futures import ProcessPoolExecutor
         workers = min(cfg["chains"], os.cpu_count() or 1)
         with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [pool.submit(_fit_one, cfg, i, args.out)
@@ -347,6 +355,8 @@ def cmd_identify(args):
         except ValueError:
             raise ConfigError(f"--kplus must be 'auto' or an integer, "
                               f"got {args.kplus!r}") from None
+        if kplus < 1:
+            raise ConfigError(f"--kplus must be at least 1, not {kplus}")
     filtered = filter_to_kplus(chain, kplus)
     # only the assignments are read below; free the padded columns
     S_all, chain = chain.records.S, None

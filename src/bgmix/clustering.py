@@ -39,9 +39,22 @@ def _seed_plus_plus(points, k, rng):
 
 
 def _assign(points, centers):
-    d2 = np.sum((points[:, None, :] - centers[None, :, :]) ** 2, axis=2)
-    labels = np.argmin(d2, axis=1)
-    return labels, d2[np.arange(points.shape[0]), labels]
+    """Nearest center of each point and its squared distance.
+
+    The squared distances are summed one coordinate at a time, in
+    coordinate order, into one (k, n) array, with no (n, k, d)
+    temporary; the (k, n) layout keeps the long axis innermost. For
+    d < 8 that is the order numpy's sum over the last axis uses, so the
+    result is bit-identical to summing the (n, k, d) squares; from d = 8
+    numpy pairs the terms, and a distance may differ in its last bit (a
+    label only for a point equidistant to one ulp).
+    """
+    cols = np.ascontiguousarray(points.T)
+    d2 = (centers[:, 0, None] - cols[0]) ** 2
+    for j in range(1, cols.shape[0]):
+        d2 += (centers[:, j, None] - cols[j]) ** 2
+    labels = np.argmin(d2, axis=0)
+    return labels, d2[labels, np.arange(cols.shape[1])]
 
 
 def _lloyd(points, centers, max_iter):
@@ -52,24 +65,22 @@ def _lloyd(points, centers, max_iter):
         new_labels, d2own = _assign(points, centers)
         # revive empty clusters from the point farthest from its own center,
         # donating only from clusters that keep at least one member
-        for j in range(k):
-            if np.any(new_labels == j):
-                continue
-            counts = np.bincount(new_labels, minlength=k)
+        counts = np.bincount(new_labels, minlength=k)
+        for j in np.flatnonzero(counts == 0):
             donors = counts[new_labels] >= 2
             if not np.any(donors):
                 break
             far = np.flatnonzero(donors)[np.argmax(d2own[donors])]
             centers[j] = points[far]
+            counts[new_labels[far]] -= 1
+            counts[j] = 1
             new_labels[far] = j
             d2own[far] = 0.0
         if np.array_equal(new_labels, labels):
             break
         labels = new_labels
-        for j in range(k):
-            members = labels == j
-            if np.any(members):
-                centers[j] = points[members].mean(axis=0)
+        for j in np.flatnonzero(counts):
+            centers[j] = points[labels == j].mean(axis=0)
     labels, d2own = _assign(points, centers)
     return centers, labels, float(d2own.sum())
 

@@ -14,7 +14,6 @@ in this module; everything else calls these functions.
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import betaln, gammaln
 
 
 class WishartParams:
@@ -185,7 +184,11 @@ def bnb_log_pmf(k_minus_1, a_l, a_pi, b_pi):
     P(X = x) = Gamma(a_l + x) / (x! Gamma(a_l)) * B(a_pi + a_l, b_pi + x) / B(a_pi, b_pi)
 
     Accepts scalar or array x; x must be a nonnegative integer value.
+    scipy.special is imported here, not with the module: loading it
+    costs about 0.4 s, and only the telescoping sweep needs it.
     """
+    from scipy.special import betaln, gammaln
+
     if a_l <= 0 or a_pi <= 0 or b_pi <= 0:
         raise ValueError("BNB parameters must be positive")
     x = np.asarray(k_minus_1, dtype=float)

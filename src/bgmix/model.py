@@ -74,18 +74,27 @@ class RandomK:
     """Beta-negative-binomial prior on K - 1, truncated at k_max.
 
     k_init sets the starting K (= starting K_plus) of the chain.
+    log_prior[K - 1] is the BNB log pmf at K - 1 for K = 1, ..., k_max
+    (untruncated, so not normalized over 1..k_max; the K update
+    normalizes). It is built here, once, because it loads scipy.special:
+    that import then happens before a chain starts, never inside it.
     """
     a_l: float
     a_pi: float
     b_pi: float
     k_max: int = 100
     k_init: int = 10
+    log_prior: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         _require_finite_positive(a_l=self.a_l, a_pi=self.a_pi, b_pi=self.b_pi)
         if not 1 <= self.k_init <= self.k_max:
             raise ValueError(f"need 1 <= k_init <= k_max, got "
                              f"k_init={self.k_init}, k_max={self.k_max}")
+        table = dist.bnb_log_pmf(np.arange(self.k_max), self.a_l, self.a_pi,
+                                 self.b_pi)
+        table.flags.writeable = False
+        object.__setattr__(self, "log_prior", table)
 
 
 @dataclass

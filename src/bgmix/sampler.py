@@ -14,14 +14,19 @@ number of numpy calls regardless of K. A sweep evaluates the (N, K)
 matrix of log-weighted component densities once: built at the end of a
 sweep, it gives the trace log-likelihood and then the next sweep's
 classification, which sees the same state. Functions of the prior alone
-(gamma_K and the prior of K over 1..k_max) are computed once per
-chain.
+are computed once: a RandomK prior holds its log prior of K over
+1..k_max from construction, and run_chain adds gamma_K over the same
+range once per chain.
+
+scipy.special, which costs about 0.4 s to import, is loaded only by the
+telescoping sweep's log-gamma terms, and first when a RandomK prior is
+built, so its import never falls inside run_chain; a fixed-K chain never
+loads it.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import gammaln
 
 from . import distributions as dist
 from .clustering import kmeans
@@ -199,6 +204,8 @@ def _log_partition_given_k(K, N_k, gamma_K):
     it the expression is not a partition probability (at N = 1 it would
     equal 1/gamma_K instead of 1).
     """
+    from scipy.special import gammaln
+
     K = np.asarray(K, dtype=float)
     gamma_K = np.asarray(gamma_K, dtype=float)
     N_k = np.asarray(N_k, dtype=float)
@@ -217,7 +224,7 @@ def _k_tables(prior):
     kp = prior.k_prior
     Ks = np.arange(1, kp.k_max + 1)
     gam = np.array([prior.gamma_spec.gamma_for(K) for K in Ks])
-    return gam, dist.bnb_log_pmf(Ks - 1, kp.a_l, kp.a_pi, kp.b_pi)
+    return gam, kp.log_prior
 
 
 def step_sample_K(state, prior, rng, k_tables=None):

@@ -1,8 +1,11 @@
 """End-to-end tests of the command-line interface and its file formats."""
 
+import concurrent.futures
 import filecmp
 import json
 import os
+import subprocess
+import sys
 from concurrent.futures import Future
 
 import numpy as np
@@ -110,6 +113,17 @@ class TestLoadDataset:
         p.write_text("group\na\nb\n")
         with pytest.raises(UnreadableInputError, match="no numeric"):
             load_dataset(str(p))
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_feature_value_exits_2(self, tmp_path, capsys, value):
+        p = tmp_path / "holes.csv"
+        p.write_text(f"x,y,group\n1.0,2.0,a\n3.0,{value},b\n5.0,1.0,a\n")
+        rc = main(["fit", str(p), "--k", "2", "--iters", "20",
+                   "--burnin", "5", "--out", str(tmp_path / "out")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert str(p) in err and "'y'" in err
 
 
 class TestFitCommand:
@@ -397,7 +411,9 @@ class TestFitCommand:
                 return future
 
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", InlinePool)
+        # cmd_fit imports the pool class from here when it needs one
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            InlinePool)
         out = str(tmp_path / "three")
         rc = main(["fit", blob_csv, "--mode", "fixed-k", "--k", "2",
                    "--iters", "30", "--burnin", "10", "--chains", "3",
@@ -472,6 +488,14 @@ class TestIdentifyCommand:
                    "--out", str(tmp_path), "--kplus", "few"])
         assert rc == 3
 
+    @pytest.mark.parametrize("kplus", ["0", "-2"])
+    def test_kplus_below_one_exits_3(self, fit_dir, tmp_path, capsys, kplus):
+        rc = main(["identify", os.path.join(fit_dir, "draws.csv"),
+                   "--out", str(tmp_path), "--kplus", kplus])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     @pytest.mark.parametrize("thin", ["0", "-3"])
     def test_vi_thin_below_one_exits_3(self, fit_dir, tmp_path, capsys, thin):
         rc = main(["identify", os.path.join(fit_dir, "draws.csv"),
@@ -543,3 +567,82 @@ class TestEvaluateCommand:
         short.write_text("label\n1\n2\n")
         rc = main(["evaluate", part, str(short), "--out", str(tmp_path)])
         assert rc == 2
+
+    @pytest.mark.parametrize("index", [("1", "1"), ("1", "3")],
+                             ids=["duplicate", "gap"])
+    def test_misaligned_partition_index_exits_2(self, tmp_path, capsys,
+                                                index):
+        part = tmp_path / "part.csv"
+        part.write_text(f"index,label\n{index[0]},1\n{index[1]},2\n")
+        truth = tmp_path / "truth.csv"
+        truth.write_text("label\na\nb\n")
+        rc = main(["evaluate", str(part), str(truth), "--out", str(tmp_path)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert str(part) in err
+
+    def test_partition_without_index_column_is_read_in_order(self, tmp_path):
+        part = tmp_path / "part.csv"
+        part.write_text("label\n1\n2\n")
+        truth = tmp_path / "truth.csv"
+        truth.write_text("label\na\nb\n")
+        assert main(["evaluate", str(part), str(truth),
+                     "--out", str(tmp_path)]) == 0
+
+
+# Runs in a fresh interpreter: imports bgmix.cli, then runs a single-chain
+# sfm fit, identify, evaluate and an mfm fit in that one process, and
+# reports after each whether scipy.special (and the process pool) is loaded
+STARTUP_CHILD = """
+import json, sys
+from bgmix import cli
+blobs, draws, out = sys.argv[1:]
+seen, codes = {}, {}
+
+def note(stage, code=0):
+    codes[stage] = code
+    seen[stage] = {name: name in sys.modules for name in
+                   ("scipy.special", "concurrent.futures.process")}
+
+note("import")
+note("fit sfm", cli.main(["fit", blobs, "--mode", "sfm", "--k", "3",
+                          "--iters", "30", "--burnin", "10",
+                          "--out", out + "/sfm"]))
+note("identify", cli.main(["identify", draws, "--out", out + "/ident"]))
+note("evaluate", cli.main(["evaluate", out + "/ident/partition_map.csv",
+                           blobs, "--out", out + "/eval"]))
+run_chain = cli.run_chain
+
+def probe(*args, **kwargs):
+    note("mfm run_chain starts")
+    return run_chain(*args, **kwargs)
+
+cli.run_chain = probe
+note("fit mfm", cli.main(["fit", blobs, "--mode", "mfm", "--kinit", "3",
+                          "--iters", "30", "--burnin", "10",
+                          "--out", out + "/mfm"]))
+print(json.dumps({"seen": seen, "codes": codes}))
+"""
+
+
+def test_scipy_special_loaded_only_by_the_telescoping_prior(blob_csv,
+                                                            fit_dir,
+                                                            tmp_path):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-c", STARTUP_CHILD, blob_csv,
+         os.path.join(fit_dir, "draws.csv"), str(tmp_path)],
+        env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert set(report["codes"].values()) == {0}
+    seen = report["seen"]
+    for stage in ("import", "fit sfm", "identify", "evaluate"):
+        assert not seen[stage]["scipy.special"], stage
+    # the RandomK prior loads it when built, before the chain starts
+    assert seen["mfm run_chain starts"]["scipy.special"]
+    assert seen["fit mfm"]["scipy.special"]
+    # single-chain fits never import the process pool
+    assert not any(s["concurrent.futures.process"] for s in seen.values())

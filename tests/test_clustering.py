@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from bgmix.clustering import kmeans
+from bgmix.clustering import _assign, kmeans
 
 
 def _blobs(rng, centers, n_per, scale=0.1):
@@ -88,3 +88,32 @@ class TestKmeansRobustness:
         b = kmeans(X, 3, np.random.default_rng(13))
         np.testing.assert_array_equal(a.labels, b.labels)
         np.testing.assert_array_equal(a.centers, b.centers)
+
+
+class TestAssign:
+
+    @staticmethod
+    def _broadcast_reference(points, centers):
+        """The assignment as first written, through an (n, k, d) array."""
+        d2 = np.sum((points[:, None, :] - centers[None, :, :]) ** 2, axis=2)
+        labels = np.argmin(d2, axis=1)
+        return labels, d2[np.arange(points.shape[0]), labels]
+
+    @pytest.mark.parametrize("d", [1, 3, 5])
+    def test_bit_identical_to_broadcast_below_eight_coordinates(self, d):
+        rng = np.random.default_rng(d)
+        points = rng.standard_normal((300, d)) * 7.0
+        centers = rng.standard_normal((6, d)) * 7.0
+        labels, d2 = _assign(points, centers)
+        ref_labels, ref_d2 = self._broadcast_reference(points, centers)
+        np.testing.assert_array_equal(labels, ref_labels)
+        assert d2.tobytes() == ref_d2.tobytes()
+
+    def test_same_labels_at_nine_coordinates(self):
+        rng = np.random.default_rng(9)
+        points = rng.standard_normal((300, 9)) * 7.0
+        centers = rng.standard_normal((6, 9)) * 7.0
+        labels, d2 = _assign(points, centers)
+        ref_labels, ref_d2 = self._broadcast_reference(points, centers)
+        np.testing.assert_array_equal(labels, ref_labels)
+        np.testing.assert_allclose(d2, ref_d2, rtol=1e-12, atol=0)

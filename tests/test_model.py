@@ -5,6 +5,7 @@ import pytest
 from scipy.special import logsumexp
 from scipy.stats import multivariate_normal
 
+from bgmix.distributions import bnb_log_pmf
 from bgmix.model import (ChainConfig, Dataset, DynamicGamma, FixedGamma,
                          FixedK, MixtureState, RandomK, build_default_prior,
                          complete_data_log_likelihood, generate_synthetic,
@@ -36,6 +37,22 @@ class TestGammaSpecs:
             FixedGamma(0.0)
         with pytest.raises(ValueError):
             DynamicGamma(-1.0)
+
+
+class TestRandomK:
+
+    def test_log_prior_is_the_bnb_table(self):
+        kp = RandomK(1.0, 4.0, 3.0, k_max=30, k_init=5)
+        expected = bnb_log_pmf(np.arange(30), 1.0, 4.0, 3.0)
+        assert kp.log_prior.tobytes() == expected.tobytes()
+        assert not kp.log_prior.flags.writeable
+
+    def test_table_stays_out_of_equality_hash_and_repr(self):
+        a = RandomK(1.0, 4.0, 3.0, k_max=30)
+        b = RandomK(1.0, 4.0, 3.0, k_max=30)
+        assert a == b and hash(a) == hash(b)
+        assert a != RandomK(1.0, 4.0, 3.0, k_max=31)
+        assert "log_prior" not in repr(a)
 
 
 class TestDataset:
