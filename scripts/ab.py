@@ -1,0 +1,265 @@
+"""Interleaved A/B timing of two bgmix source trees.
+
+    python scripts/ab.py CASE PARENT_SRC CHANGE_SRC --rounds R --out OUT.json
+
+PARENT_SRC and CHANGE_SRC are the ``src`` directories of two checkouts.
+Each run is a fresh Python process with PYTHONPATH set to one tree; it
+reports one time and one check value. Round by round the case's variants
+run in turn, the two trees alternating which goes first, so slow phases
+of a shared machine hit both alike. Every case reads data/diabetes.csv
+(N=145, r=3) next to this script's checkout. CASE is one of:
+
+sweep    µs per sweep of `run_chain` in fixed-k (K=3), sfm (K=10,
+         gamma 0.01) and mfm, 2000 sweeps with burn-in 500, seed 1.
+         Check: SHA-256 of every stored column and trace series.
+startup  seconds from the process's first statement to `import
+         bgmix.cli` done (import), or to the return of `init_from_kmeans`
+         in `bgmix fit` in sfm and mfm (the process then exits before
+         the first sweep). Check: whether scipy.special was loaded.
+vi       seconds of one `vi_partition(S, thin_to=500)` call, where S
+         holds the assignments of a fixed-k (K=3) chain of 3000 sweeps,
+         burn-in 500, seed 1, run once by the parent tree before the
+         rounds. Check: SHA-256 of the chosen partition.
+
+The JSON written to --out has, per variant and tree, every run's time in
+the child and of the whole process (interpreter start included) with
+their min and median, the ratio of the medians (change / parent), the
+check value ("varies" if the runs disagree), and whether both trees gave
+the same one.
+"""
+
+import argparse
+import json
+import os
+import platform
+import shutil
+import statistics
+import subprocess
+import sys
+import tempfile
+import time
+
+import numpy as np
+
+DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir,
+                    "data", "diabetes.csv")
+
+# Children print one JSON line {"value": ..., "check": ...}; argv is
+# [data, scratch directory, variant argument as JSON].
+
+SWEEP = """
+import hashlib, json, sys, time
+import numpy as np
+from bgmix.cli import load_dataset
+from bgmix.model import (ChainConfig, DynamicGamma, FixedGamma, FixedK,
+                         RandomK, build_default_prior)
+from bgmix.sampler import run_chain
+
+data = load_dataset(sys.argv[1])
+k_prior, gamma_spec = eval(json.loads(sys.argv[3]))
+prior = build_default_prior(data, gamma_spec=gamma_spec, k_prior=k_prior)
+config = ChainConfig(n_iter=2000, burn_in=500, seed=1)
+t0 = time.perf_counter()
+out = run_chain(data, prior, config)
+elapsed = time.perf_counter() - t0
+digest = hashlib.sha256()
+rec = out.records
+for col in (rec.iter, rec.K, rec.K_plus, rec.eta, rec.mu, rec.Sigma,
+            rec.N_k, rec.S):
+    digest.update(np.ascontiguousarray(col).tobytes())
+for name in sorted(out.trace):
+    digest.update(np.ascontiguousarray(out.trace[name]).tobytes())
+print(json.dumps({"value": elapsed / config.n_iter * 1e6,
+                  "check": digest.hexdigest()}))
+"""
+
+STARTUP = """
+import time
+t0 = time.perf_counter()
+import json, os, sys
+import bgmix.cli
+import bgmix.sampler
+
+data, scratch, flags = sys.argv[1], sys.argv[2], json.loads(sys.argv[3])
+
+
+def report():
+    print(json.dumps({"value": time.perf_counter() - t0,
+                      "check": "scipy.special" in sys.modules}))
+    sys.stdout.flush()
+
+
+if flags is None:
+    report()
+    sys.exit(0)
+init = bgmix.sampler.init_from_kmeans
+
+
+def init_then_exit(*args, **kwargs):
+    init(*args, **kwargs)
+    report()
+    os._exit(0)
+
+
+bgmix.sampler.init_from_kmeans = init_then_exit
+bgmix.cli.main(["fit", data, *flags, "--out", os.path.join(scratch, "fit")])
+sys.exit("fit ended without calling init_from_kmeans")
+"""
+
+VI_CHAIN = """
+import os, sys
+import numpy as np
+from bgmix.cli import load_dataset
+from bgmix.model import ChainConfig, FixedGamma, FixedK, build_default_prior
+from bgmix.sampler import run_chain
+
+data = load_dataset(sys.argv[1])
+prior = build_default_prior(data, gamma_spec=FixedGamma(1.0),
+                            k_prior=FixedK(3))
+out = run_chain(data, prior, ChainConfig(n_iter=3000, burn_in=500, seed=1))
+np.save(os.path.join(sys.argv[2], "vi_S.npy"), out.records.S)
+"""
+
+VI = """
+import hashlib, json, os, sys, time
+import numpy as np
+from bgmix.postprocess import vi_partition
+
+S = np.load(os.path.join(sys.argv[2], "vi_S.npy"))
+t0 = time.perf_counter()
+part = vi_partition(S, thin_to=json.loads(sys.argv[3]))
+elapsed = time.perf_counter() - t0
+print(json.dumps({"value": elapsed, "check": hashlib.sha256(
+    np.ascontiguousarray(part.labels, dtype=np.int64).tobytes()).hexdigest()}))
+"""
+
+# the child, the unit of its time, {variant: argument}, a child run once
+# by the parent tree before the rounds, and what the time measures
+CASES = {
+    "sweep": {
+        "child": SWEEP, "unit": "us", "setup": None,
+        "variants": {
+            "fixed-k": "FixedK(3), FixedGamma(1.0)",
+            "sfm": "FixedK(10), FixedGamma(0.01)",
+            "mfm": "RandomK(1.0, 4.0, 3.0, k_max=100, k_init=10), "
+                   "DynamicGamma(0.5)"},
+        "what": "run_chain wall time per sweep, 2000 sweeps, burn-in 500, "
+                "seed 1; check: SHA-256 of the draws and trace"},
+    "startup": {
+        "child": STARTUP, "unit": "s", "setup": None,
+        "variants": {
+            "import": None,
+            "fit-sfm": ["--mode", "sfm", "--iters", "2000", "--burnin",
+                        "500", "--seed", "1"],
+            "fit-mfm": ["--mode", "mfm", "--iters", "2000", "--burnin",
+                        "500", "--seed", "1"]},
+        "what": "seconds from the first statement to `import bgmix.cli` "
+                "done (import) or to init_from_kmeans returned in `bgmix "
+                "fit` (fit-*); check: scipy.special loaded"},
+    "vi": {
+        "child": VI, "unit": "s", "setup": VI_CHAIN,
+        "variants": {"thin-500": 500},
+        "what": "seconds of vi_partition(S, thin_to=500) on the assignments "
+                "of a fixed-k (K=3) chain, 3000 sweeps, burn-in 500, seed 1; "
+                "check: SHA-256 of the chosen partition"},
+}
+
+
+def run_child(src, code, scratch, arg=None):
+    """One fresh process on one tree: (its JSON report, process seconds)."""
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    t0 = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-c", code, DATA, scratch, json.dumps(arg)],
+        env=env, capture_output=True, text=True, check=True)
+    process_s = time.perf_counter() - t0
+    lines = proc.stdout.strip().splitlines()
+    return (json.loads(lines[-1]) if lines else None), process_s
+
+
+def summarize(runs):
+    return {"min": min(runs), "median": statistics.median(runs),
+            "runs": runs}
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("case", choices=CASES)
+    parser.add_argument("parent_src")
+    parser.add_argument("change_src")
+    parser.add_argument("--rounds", type=int, default=7)
+    parser.add_argument("--out", required=True)
+    args = parser.parse_args(argv)
+    if args.rounds < 1:
+        parser.error("--rounds must be at least 1")
+
+    case = CASES[args.case]
+    unit, variants = case["unit"], case["variants"]
+    trees = {"parent": args.parent_src, "change": args.change_src}
+    runs = {v: {tree: {"child": [], "process": [], "check": set()}
+                for tree in trees} for v in variants}
+    scratch = tempfile.mkdtemp(prefix="bgmix_ab_")
+    try:
+        if case["setup"] is not None:
+            run_child(trees["parent"], case["setup"], scratch)
+        for rnd in range(args.rounds):
+            order = list(trees) if rnd % 2 == 0 else list(trees)[::-1]
+            for variant, arg in variants.items():
+                for tree in order:
+                    report, process_s = run_child(
+                        trees[tree], case["child"], scratch, arg)
+                    run = runs[variant][tree]
+                    run["child"].append(report["value"])
+                    run["process"].append(process_s)
+                    run["check"].add(report["check"])
+            print(f"round {rnd + 1}/{args.rounds}: " + ", ".join(
+                f"{v} {runs[v]['parent']['child'][-1]:.4g}"
+                f"/{runs[v]['change']['child'][-1]:.4g} {unit}"
+                for v in variants), flush=True)
+    finally:
+        shutil.rmtree(scratch, ignore_errors=True)
+
+    results = {}
+    for variant in variants:
+        entry = {}
+        for tree in trees:
+            run = runs[variant][tree]
+            entry[tree] = {"child": summarize(run["child"]),
+                           "process": summarize(run["process"]),
+                           "check": (next(iter(run["check"]))
+                                     if len(run["check"]) == 1
+                                     else "varies")}
+        for part in ("child", "process"):
+            entry[f"{part}_median_ratio"] = (entry["change"][part]["median"]
+                                             / entry["parent"][part]["median"])
+        entry["same_check"] = (entry["parent"]["check"] != "varies"
+                               and entry["parent"]["check"]
+                               == entry["change"]["check"])
+        results[variant] = entry
+    report = {
+        "case": args.case,
+        "what": case["what"] + "; data/diabetes.csv (N=145, r=3), fresh "
+                "process per run, trees interleaved",
+        "units": {"child": unit, "process": "s"},
+        "rounds": args.rounds,
+        "variants": variants,
+        "machine": {"cpus": os.cpu_count(), "machine": platform.machine(),
+                    "python": platform.python_version(),
+                    "numpy": np.__version__},
+        "results": results,
+    }
+    with open(args.out, "w") as fh:
+        json.dump(report, fh, indent=2)
+        fh.write("\n")
+    for variant, entry in results.items():
+        print(f"{variant}: parent {entry['parent']['child']['min']:.4g} "
+              f"[{entry['parent']['child']['median']:.4g}] {unit}, change "
+              f"{entry['change']['child']['min']:.4g} "
+              f"[{entry['change']['child']['median']:.4g}] {unit}; check "
+              f"parent {entry['parent']['check']}, change "
+              f"{entry['change']['check']}, same: {entry['same_check']}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

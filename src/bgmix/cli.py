@@ -6,8 +6,8 @@ fit       run an MCMC chain on a CSV dataset and persist draws/trace/manifest
 identify  post-process a draws file into summaries and point partitions
 evaluate  score a partition file against reference labels
 
-Exit codes: 0 success, 2 unreadable input, 3 configuration error,
-4 sampler failure, 5 identification failure.
+Exit codes: 0 success, 1 standard output closed early, 2 unreadable
+input, 3 configuration error, 4 sampler failure, 5 identification failure.
 """
 
 import argparse
@@ -568,7 +568,13 @@ _EXIT_CODES = {UnreadableInputError: 2, ConfigError: 3, SamplerError: 4,
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # keep the flush at interpreter exit from raising again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except tuple(_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return next(code for cls, code in _EXIT_CODES.items()

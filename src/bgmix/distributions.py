@@ -123,29 +123,9 @@ def sample_wishart(params, rng):
                                 rng)[0]
 
 
-def sample_inv_wishart(params, rng):
-    """Draw one matrix from W^-1(alpha, V): the inverse of a W(alpha, V) draw."""
-    return np.linalg.inv(sample_wishart(params, rng))
-
-
 def sample_inv_wishart_batch(alpha, V, rng):
     """Stacked W^-1(alpha[k], V[k]) draws."""
     return np.linalg.inv(sample_wishart_batch(alpha, V, rng))
-
-
-def log_mvnormal_density(y, mu, Sigma):
-    """Log density of N(mu, Sigma) at y, via the Cholesky factor of Sigma."""
-    y = np.asarray(y, dtype=float)
-    mu = np.asarray(mu, dtype=float)
-    Sigma = np.asarray(Sigma, dtype=float)
-    r = y.shape[0]
-    try:
-        L = np.linalg.cholesky(Sigma)
-    except np.linalg.LinAlgError as exc:
-        raise ValueError("Sigma must be positive definite") from exc
-    dev = np.linalg.solve(L, y - mu)
-    logdet = 2.0 * np.sum(np.log(np.diag(L)))
-    return -0.5 * (r * np.log(2.0 * np.pi) + logdet + dev @ dev)
 
 
 def log_mvnormal_density_batch(Y, mu, Sigma):

@@ -646,3 +646,25 @@ def test_scipy_special_loaded_only_by_the_telescoping_prior(blob_csv,
     assert seen["fit mfm"]["scipy.special"]
     # single-chain fits never import the process pool
     assert not any(s["concurrent.futures.process"] for s in seen.values())
+
+
+def test_closed_stdout_exits_1_without_traceback(tmp_path):
+    part = tmp_path / "part.csv"
+    part.write_text("label\n1\n2\n")
+    truth = tmp_path / "truth.csv"
+    truth.write_text("label\na\nb\n")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    read_end, write_end = os.pipe()
+    os.close(read_end)           # the reader is gone before the child writes
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "bgmix.cli", "evaluate", str(part),
+             str(truth), "--out", str(tmp_path / "eval")],
+            env=env, stdout=write_end, stderr=subprocess.PIPE, text=True,
+            timeout=120)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert "BrokenPipeError" not in proc.stderr

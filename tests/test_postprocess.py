@@ -5,16 +5,18 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from bgmix.clustering import kmeans
 from bgmix.model import (ChainConfig, Dataset, FixedGamma, FixedK,
                          build_default_prior)
 from bgmix.postprocess import (ConfusionResult, EmptySelectionError,
                                FilteredDraws, IdentificationError, Partition,
-                               _canonical_rows, ari, coallocation_matrix,
-                               confusion_and_mcr, filter_to_kplus,
-                               kplus_distribution, map_partition,
-                               posterior_summary, ppr_identify,
-                               variation_of_information, vi_partition)
+                               _canonical_rows, _expected_vi, ari,
+                               coallocation_matrix, confusion_and_mcr,
+                               filter_to_kplus, kplus_distribution,
+                               map_partition, posterior_summary,
+                               ppr_identify, vi_partition)
 from bgmix.sampler import ChainOutput, Draws, run_chain
+from reference import expected_vi_scores, variation_of_information
 
 
 def _rec(it, eta, N_k, S=None, mu=None):
@@ -189,6 +191,20 @@ class TestPprIdentify:
         with pytest.raises(IdentificationError):
             ppr_identify(filt, np.random.default_rng(6))
 
+    def test_kept_sweeps_match_per_row_loop(self):
+        rng = np.random.default_rng(4)
+        filt, _, _, _ = _switched_draws(rng, T=60, noise=3.0,
+                                        corrupt=range(0, 60, 7))
+        ident = ppr_identify(filt, np.random.default_rng(5))
+        # the pooled clustering ppr_identify runs, and the per-row check it
+        # replaced: a sweep is kept when its labels are all distinct
+        lab = kmeans(filt.mu.reshape(-1, 2), 3,
+                     np.random.default_rng(5)).labels.reshape(60, 3)
+        kept = np.flatnonzero([np.unique(row).size == 3 for row in lab])
+        assert 0 < kept.size < 60
+        np.testing.assert_array_equal(ident.kept, kept)
+        assert ident.non_permutation_rate == 1.0 - kept.size / 60
+
     def test_map_partition_recovers_truth(self):
         rng = np.random.default_rng(7)
         filt, _, _, z = _switched_draws(rng)
@@ -339,6 +355,47 @@ class TestViPartition:
             for i, v in enumerate(row):
                 expected[t, i] = first.setdefault(v, len(first))
         np.testing.assert_array_equal(_canonical_rows(S), expected)
+
+    def test_canonical_rows_with_skipped_labels(self):
+        S = np.array([[7, 7, 2, 9, 2, 0],
+                      [3, 3, 3, 3, 3, 3],
+                      [0, 5, 0, 9, 5, 7]])
+        np.testing.assert_array_equal(_canonical_rows(S),
+                                      [[0, 0, 1, 2, 1, 3],
+                                       [0, 0, 0, 0, 0, 0],
+                                       [0, 1, 0, 2, 1, 3]])
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_scores_match_pairwise_reference(self, seed):
+        """Candidates of unequal group counts, some relabeled duplicates,
+        and so many groups that the count blocks are split into chunks
+        (with seed 3, some single tables exceed the chunk size)."""
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(5, 40))
+        rows = [rng.integers(0, rng.integers(1, n + 1), n)
+                for _ in range(int(rng.integers(2, 30)))]
+        rows += [rng.permutation(n)[row] for row in rows[:5]]
+        rows = [rows[i] for i in rng.permutation(len(rows))]
+        canon = _canonical_rows(np.array(rows))
+        uniq, first, weights = np.unique(canon, axis=0, return_index=True,
+                                         return_counts=True)
+        order = np.argsort(first, kind="stable")
+        uniq, weights = uniq[order], weights[order]
+        assert weights.max() > 1
+        ours = _expected_vi(uniq, weights)
+        loop = expected_vi_scores(uniq, weights)
+        np.testing.assert_allclose(ours, loop, rtol=1e-12)
+        assert np.argmin(ours) == np.argmin(loop)
+        best = uniq[np.argmin(loop)] + 1
+        np.testing.assert_array_equal(vi_partition(np.array(rows)).labels,
+                                      best)
+
+    def test_two_candidates(self):
+        same = np.array([[0, 0, 1, 1], [0, 0, 1, 1]])
+        np.testing.assert_array_equal(_expected_vi(same, np.ones(2)), 0.0)
+        crossed = np.array([[0, 0, 1, 1], [0, 1, 0, 1]])
+        np.testing.assert_allclose(_expected_vi(crossed, np.ones(2)),
+                                   2 * np.log(2), rtol=1e-12)
 
 
 class TestAri:
