@@ -6,8 +6,9 @@ fit       run an MCMC chain on a CSV dataset and persist draws/trace/manifest
 identify  post-process a draws file into summaries and point partitions
 evaluate  score a partition file against reference labels
 
-Exit codes: 0 success, 1 standard output closed early, 2 unreadable
-input, 3 configuration error, 4 sampler failure, 5 identification failure.
+Each fit setting (flag and config key) is declared once, in _CONFIG_KEYS.
+Exit codes: 0 success, 1 standard output closed early, 2 unreadable input,
+3 invalid flag or config, 4 sampler failure, 5 identification failure.
 """
 
 import argparse
@@ -117,41 +118,56 @@ def load_dataset(path, features=None, label_col=None):
 # configuration
 
 
-_MODES = ("fixed-k", "sfm", "mfm")
+# every mode, with the defaults that depend on it
+_MODE_DEFAULTS = {"fixed-k": {"gamma": 1.0}, "sfm": {"k": 10, "gamma": 0.01},
+                  "mfm": {"bnb": (1.0, 4.0, 3.0), "alpha": 0.5}}
 
 
 def _is_number(v):
     return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
-# (check, what it wants) for a config-file value
-_STRING = (lambda v: isinstance(v, str), "a string")
-_NUMBER = (_is_number, "a number")
-_INTEGER = (lambda v: _is_number(v) and isinstance(v, int), "an integer")
-_FLAG = (lambda v: isinstance(v, bool), "true or false")
+def _csv_list(text):
+    return [tok.strip() for tok in text.split(",") if tok.strip()]
+
+
+# (check of a value, what it wants, reader of a flag's text); a flag's value
+# must pass the same check as a config-file value; on/off flags take no text
+_STRING = (lambda v: isinstance(v, str), "a string", str)
+_NUMBER = (_is_number, "a number", float)
+_INTEGER = (lambda v: _is_number(v) and isinstance(v, int), "an integer", int)
+_FLAG = (lambda v: isinstance(v, bool), "true or false", None)
 _TRIPLE = (lambda v: (isinstance(v, list) and len(v) == 3
-                      and all(map(_is_number, v))), "a list of three numbers")
+                      and all(map(_is_number, v))), "a list of three numbers",
+           lambda text: [float(tok) for tok in _csv_list(text)])
 _NAMES = (lambda v: isinstance(v, str) or (
     isinstance(v, list) and all(isinstance(t, str) for t in v)),
-    "a string or a list of strings")
+    "a string or a list of strings", _csv_list)
 
-# every config key with its default and the value it takes, in the order
-# the manifest echoes them; a None default marks a key without one or
-# with a default that depends on the mode
+# every fit setting: its default, the value it takes and its flag's help,
+# in the order the manifest echoes them; a None default marks a setting
+# without one or with a default that depends on the mode
 _CONFIG_KEYS = {
-    "data": (None, _STRING), "mode": ("fixed-k", _STRING),
-    "k": (None, _INTEGER), "gamma": (None, _NUMBER),
-    "alpha": (None, _NUMBER), "bnb": (None, _TRIPLE),
-    "kmax": (100, _INTEGER), "kinit": (10, _INTEGER),
-    "iters": (30000, _INTEGER), "burnin": (5000, _INTEGER),
-    "thin": (1, _INTEGER), "seed": (0, _INTEGER), "c": (2.5, _NUMBER),
-    "phi": (0.75, _NUMBER), "store_assignments": (True, _FLAG),
-    "permute": (False, _FLAG), "chains": (1, _INTEGER),
-    "features": (None, _NAMES), "label_col": (None, _STRING),
+    "data": (None, _STRING, "input CSV (header row required)"),
+    "mode": ("fixed-k", _STRING, f"sampler mode: {', '.join(_MODE_DEFAULTS)}"),
+    "k": (None, _INTEGER, "number of components, required for fixed-k"),
+    "gamma": (None, _NUMBER, "Dirichlet parameter"),
+    "alpha": (None, _NUMBER, "mfm Dirichlet parameter gamma_K = alpha/K"),
+    "bnb": (None, _TRIPLE, "BNB prior parameters A,B,C on K-1"),
+    "kmax": (100, _INTEGER, "mfm truncation"),
+    "kinit": (10, _INTEGER, "mfm starting K"),
+    "iters": (30000, _INTEGER, "MCMC sweeps"),
+    "burnin": (5000, _INTEGER, "burn-in sweeps"),
+    "thin": (1, _INTEGER, "store every n-th sweep"),
+    "seed": (0, _INTEGER, "RNG seed"),
+    "c": (2.5, _NUMBER, "prior degrees of freedom scale"),
+    "phi": (0.75, _NUMBER, "prior covariance shrink factor"),
+    "store_assignments": (True, _FLAG, "persist per-sweep assignments"),
+    "permute": (False, _FLAG, "randomly permute the labels after each sweep"),
+    "chains": (1, _INTEGER, "independent chains with seeds seed..seed+n-1"),
+    "features": (None, _NAMES, "feature columns by name or index, A,B,..."),
+    "label_col": (None, _STRING, "true-class column excluded from features"),
 }
-# mfm's alpha default applies only when gamma is not given either
-_MODE_DEFAULTS = {"fixed-k": {"gamma": 1.0}, "sfm": {"k": 10, "gamma": 0.01},
-                  "mfm": {"bnb": (1.0, 4.0, 3.0)}}
 
 
 def _load_config_file(path):
@@ -175,7 +191,7 @@ def _load_config_file(path):
                           f"{', '.join(sorted(unknown))}")
     # null leaves a key unset, as if the file did not name it
     for name, value in raw.items():
-        valid, wanted = _CONFIG_KEYS[name][1]
+        valid, wanted, _ = _CONFIG_KEYS[name][1]
         if value is not None and not valid(value):
             raise ConfigError(f"{path}: config key {name!r} must be "
                               f"{wanted}, not {json.dumps(value)}")
@@ -190,20 +206,14 @@ def _resolve_fit_config(args):
     if args.config:
         file_cfg, expected_hash = _load_config_file(args.config)
 
-    def pick(name, default):
-        cli = getattr(args, name)
-        if cli is not None:
-            return cli
-        if file_cfg.get(name) is not None:
-            return file_cfg[name]
-        return default
-
-    cfg = {name: pick(name, default)
-           for name, (default, _) in _CONFIG_KEYS.items()}
+    # the first of flag, file value and default that is set (not None)
+    cfg = {name: next((v for v in (getattr(args, name), file_cfg.get(name))
+                       if v is not None), default)
+           for name, (default, *_) in _CONFIG_KEYS.items()}
     mode = cfg["mode"]
-    if mode not in _MODES:
+    if mode not in _MODE_DEFAULTS:
         raise ConfigError(f"unknown mode {mode!r} (choose from "
-                          f"{', '.join(_MODES)})")
+                          f"{', '.join(_MODE_DEFAULTS)})")
     if cfg["data"] is None:
         raise ConfigError("no input data file (positional argument or "
                           "config key 'data')")
@@ -211,16 +221,12 @@ def _resolve_fit_config(args):
 
     if mode == "fixed-k" and cfg["k"] is None:
         raise ConfigError("fixed-k mode requires --k")
+    if mode == "mfm" and None not in (cfg["gamma"], cfg["alpha"]):
+        raise ConfigError("mfm mode takes --gamma or --alpha, not both")
     for name, default in _MODE_DEFAULTS[mode].items():
-        if cfg[name] is None:
+        # mfm's alpha default applies only when gamma is not given either
+        if cfg[name] is None and (name != "alpha" or cfg["gamma"] is None):
             cfg[name] = default
-    if mode == "mfm":
-        if len(cfg["bnb"]) != 3:
-            raise ConfigError("--bnb needs three comma-separated values")
-        if cfg["gamma"] is not None and cfg["alpha"] is not None:
-            raise ConfigError("mfm mode takes --gamma or --alpha, not both")
-        if cfg["gamma"] is None and cfg["alpha"] is None:
-            cfg["alpha"] = 0.5
     if cfg["chains"] < 1:
         raise ConfigError("--chains must be at least 1")
     return cfg, expected_hash
@@ -232,10 +238,10 @@ def _build_run(cfg):
     try:
         # sfm is fixed-k with other defaults; only mfm puts a prior on K
         if cfg["mode"] == "mfm":
-            k_prior = RandomK(*cfg["bnb"], k_max=int(cfg["kmax"]),
-                              k_init=int(cfg["kinit"]))
+            k_prior = RandomK(*cfg["bnb"], k_max=cfg["kmax"],
+                              k_init=cfg["kinit"])
         else:
-            k_prior = FixedK(int(cfg["k"]))
+            k_prior = FixedK(cfg["k"])
         # the resolved config sets exactly one of gamma and alpha
         if cfg["gamma"] is not None:
             gamma_spec = FixedGamma(cfg["gamma"])
@@ -243,12 +249,10 @@ def _build_run(cfg):
             gamma_spec = DynamicGamma(cfg["alpha"])
         prior = build_default_prior(data, c=cfg["c"], phi=cfg["phi"],
                                     gamma_spec=gamma_spec, k_prior=k_prior)
-        chain_cfg = ChainConfig(n_iter=int(cfg["iters"]),
-                                burn_in=int(cfg["burnin"]),
-                                seed=int(cfg["seed"]),
+        chain_cfg = ChainConfig(n_iter=cfg["iters"], burn_in=cfg["burnin"],
+                                seed=cfg["seed"], thinning=cfg["thin"],
                                 store_assignments=cfg["store_assignments"],
-                                permutation_step=cfg["permute"],
-                                thinning=int(cfg["thin"]))
+                                permutation_step=cfg["permute"])
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     return data, prior, chain_cfg
@@ -292,9 +296,8 @@ def cmd_fit(args):
         raise ConfigError(f"dataset hash mismatch: manifest expects "
                           f"{expected_hash}, {cfg['data']} has {dataset_hash}")
 
-    results = []
     if cfg["chains"] == 1:
-        results.append(_fit_one(cfg, 0, args.out))
+        results = [_fit_one(cfg, 0, args.out)]
     else:
         # imported here: its import takes 15-20 ms a single chain need not pay
         from concurrent.futures import ProcessPoolExecutor
@@ -332,8 +335,7 @@ def _default_assignments_path(draws_path):
         cand = os.path.join(d, "assignments" + base[len("draws"):])
         if os.path.exists(cand):
             return cand
-    cand = os.path.join(d, "assignments.csv")
-    return cand if os.path.exists(cand) else None
+    return None
 
 
 def cmd_identify(args):
@@ -467,68 +469,65 @@ def cmd_evaluate(args):
 # argument parsing
 
 
-def _csv_list(text):
-    return [tok.strip() for tok in text.split(",") if tok.strip()]
+class _Parser(argparse.ArgumentParser):
+    """Reports a bad command line as a ConfigError: exit 3, one line."""
+
+    def error(self, message):
+        raise ConfigError(message)
 
 
-def _csv_floats(text):
-    try:
-        return [float(tok) for tok in _csv_list(text)]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a comma-separated float list: "
-                                         f"{text!r}") from None
+def _flag_reader(kind):
+    """argparse type of a flag: read the text, then check it as in a file."""
+    valid, wanted, read = kind
+
+    def reader(text):
+        try:
+            value = read(text)
+            if valid(value):
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"must be {wanted}, not {text!r}")
+    return reader
+
+
+def _show(value):
+    if isinstance(value, tuple):
+        return ",".join(map(str, value))
+    return ("off", "on")[value] if isinstance(value, bool) else str(value)
+
+
+def _default_help(name, default):
+    if default is not None:
+        return f" (default {_show(default)})"
+    by_mode = [f"{_show(d[name])} {mode}"
+               for mode, d in _MODE_DEFAULTS.items() if name in d]
+    return f" (default {', '.join(by_mode)})" if by_mode else ""
 
 
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="bgmix",
         description="Bayesian Gaussian mixture clustering: fit chains, "
                     "identify draws, evaluate partitions.")
     sub = parser.add_subparsers(dest="command", required=True)
 
     fit = sub.add_parser("fit", help="run an MCMC chain on a CSV dataset")
-    fit.add_argument("data", nargs="?", help="input CSV (header row required)")
-    fit.add_argument("--config", help="JSON config or manifest from a "
-                                      "previous run")
-    fit.add_argument("--mode", choices=sorted(_MODES),
-                     help="sampler mode (default fixed-k)")
-    fit.add_argument("--k", type=int, help="number of components (required "
-                                           "for fixed-k; default 10 for sfm)")
-    fit.add_argument("--gamma", type=float,
-                     help="Dirichlet parameter (default 1 fixed-k, 0.01 sfm)")
-    fit.add_argument("--alpha", type=float,
-                     help="mfm dynamic Dirichlet parameter gamma_K = alpha/K "
-                          "(default 0.5)")
-    fit.add_argument("--bnb", type=_csv_floats, metavar="A,B,C",
-                     help="BNB prior parameters on K-1 (default 1,4,3)")
-    fit.add_argument("--kmax", type=int, help="mfm truncation (default 100)")
-    fit.add_argument("--kinit", type=int,
-                     help="mfm starting K (default 10)")
-    fit.add_argument("--iters", type=int, help="MCMC sweeps (default 30000)")
-    fit.add_argument("--burnin", type=int, help="burn-in sweeps "
-                                                "(default 5000)")
-    fit.add_argument("--thin", type=int, help="store every n-th sweep "
-                                              "(default 1)")
-    fit.add_argument("--seed", type=int, help="RNG seed (default 0)")
-    fit.add_argument("--c", type=float, dest="c",
-                     help="prior degrees of freedom scale (default 2.5)")
-    fit.add_argument("--phi", type=float,
-                     help="prior covariance shrink factor (default 0.75)")
-    fit.add_argument("--store-assignments", default=None,
-                     action=argparse.BooleanOptionalAction,
-                     help="persist per-sweep assignments (default on)")
-    fit.add_argument("--permute", default=None,
-                     action=argparse.BooleanOptionalAction,
-                     help="append a random label permutation to each sweep")
-    fit.add_argument("--chains", type=int,
-                     help="independent chains with seeds seed..seed+n-1")
-    fit.add_argument("--features", type=_csv_list,
-                     help="feature columns by name or index (default: all "
-                          "numeric)")
-    fit.add_argument("--label-col", dest="label_col",
-                     help="true-class column excluded from features")
+    fit.add_argument("--config", help="JSON config or manifest of a run")
+    # defaults stay None so that a flag left out defers to the config file
+    for name, (default, kind, text) in _CONFIG_KEYS.items():
+        text += _default_help(name, default)
+        flag = "--" + name.replace("_", "-")
+        if name == "data":
+            fit.add_argument(name, nargs="?", help=text)
+        elif kind is _FLAG:
+            fit.add_argument(flag, action=argparse.BooleanOptionalAction,
+                             help=text)
+        else:
+            fit.add_argument(flag, type=_flag_reader(kind), help=text)
     fit.set_defaults(func=cmd_fit)
 
+    integer = _flag_reader(_INTEGER)
     ident = sub.add_parser("identify",
                            help="summaries and partitions from a draws file")
     ident.add_argument("draws", help="draws CSV from fit")
@@ -537,11 +536,11 @@ def build_parser():
     ident.add_argument("--kplus", default="auto",
                        help="number of clusters to identify, or 'auto' for "
                             "the posterior mode")
-    ident.add_argument("--seed", type=int, default=0,
+    ident.add_argument("--seed", type=integer, default=0,
                        help="seed for the relabeling k-means")
     ident.add_argument("--no-vi", action="store_true",
                        help="skip the VI partition search")
-    ident.add_argument("--vi-thin", type=int, default=2000,
+    ident.add_argument("--vi-thin", type=integer, default=2000,
                        help="max sweeps entering the VI search")
     ident.set_defaults(func=cmd_identify)
 
@@ -566,8 +565,8 @@ _EXIT_CODES = {UnreadableInputError: 2, ConfigError: 3, SamplerError: 4,
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         code = args.func(args)
         sys.stdout.flush()
         return code

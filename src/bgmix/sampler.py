@@ -219,21 +219,12 @@ def _log_partition_given_k(K, N_k, gamma_K):
             + per_cluster)
 
 
-def _k_tables(prior):
-    """(gamma_K, log prior of K) for K = 1, ..., k_max of a RandomK prior."""
-    kp = prior.k_prior
-    Ks = np.arange(1, kp.k_max + 1)
-    gam = np.array([prior.gamma_spec.gamma_for(K) for K in Ks])
-    return gam, kp.log_prior
-
-
-def step_sample_K(state, prior, rng, k_tables=None):
+def step_sample_K(state, prior, rng):
     """Redraw K conditional on the current cluster sizes (telescoping step).
 
     Evaluated in log space over K in {K_plus, ..., k_max} and normalized;
     the Dirichlet parameter is resolved per candidate K, so the dynamic
-    gamma_K = alpha/K specification enters every factor. k_tables is
-    _k_tables(prior), computed here when not given.
+    gamma_K = alpha/K specification enters every factor.
     """
     kp = prior.k_prior
     if not isinstance(kp, RandomK):
@@ -242,11 +233,11 @@ def step_sample_K(state, prior, rng, k_tables=None):
     if kp.k_max < kplus:
         raise ValueError(f"k_max = {kp.k_max} is below the current number "
                          f"of clusters {kplus}")
-    gam, log_prior_K = k_tables or _k_tables(prior)
     Kcand = np.arange(kplus, kp.k_max + 1)
+    gam = np.broadcast_to(prior.gamma_spec.gamma_for(Kcand), Kcand.shape)
     filled = state.N_k[state.N_k > 0]
-    logw = (_log_partition_given_k(Kcand, filled, gam[kplus - 1:])
-            + log_prior_K[kplus - 1:])
+    logw = (_log_partition_given_k(Kcand, filled, gam)
+            + kp.log_prior[kplus - 1:])
     logw -= logw.max()
     w = np.exp(logw)
     state.K = int(Kcand[dist.sample_categorical(w, rng)])
@@ -344,7 +335,6 @@ def run_chain(data, prior, config, rng=None):
              "K_plus": np.empty(M, dtype=int)}
     if not telescoping:
         trace["mu1"] = np.empty((M, k_init))
-    k_tables = _k_tables(prior) if telescoping else None
 
     logp = None  # the first classify evaluates the densities itself
     for it in range(M):
@@ -354,7 +344,7 @@ def run_chain(data, prior, config, rng=None):
             if telescoping:
                 compact_filled(state)
                 step_component_params(data, state, prior, rng)
-                step_sample_K(state, prior, rng, k_tables)
+                step_sample_K(state, prior, rng)
                 step_add_empty(state, prior, rng)
                 step_weights(state, prior.gamma_spec.gamma_for(state.K), rng)
                 step_hyper(state, prior, rng, filled_only=True)

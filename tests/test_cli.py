@@ -4,6 +4,7 @@ import concurrent.futures
 import filecmp
 import json
 import os
+import shutil
 import subprocess
 import sys
 from concurrent.futures import Future
@@ -526,6 +527,60 @@ class TestIdentifyCommand:
         rc = main(["identify", os.path.join(out, "draws.csv"), "--out", out])
         assert rc == 5
         assert "--store-assignments" in capsys.readouterr().err
+
+    def test_other_runs_assignments_are_not_read(self, fit_dir, tmp_path,
+                                                 capsys):
+        # a chain fitted without assignments, into the directory of an
+        # earlier single-chain run that stored its own
+        shutil.copy(os.path.join(fit_dir, "draws.csv"),
+                    tmp_path / "draws_chain0.csv")
+        shutil.copy(os.path.join(fit_dir, "assignments.csv"), tmp_path)
+        rc = main(["identify", str(tmp_path / "draws_chain0.csv"),
+                   "--out", str(tmp_path / "ident")])
+        assert rc == 5
+        assert "--store-assignments" in capsys.readouterr().err
+
+
+class TestCommandLine:
+
+    @pytest.mark.parametrize("argv", [
+        ["fit", "{data}", "--iters", "abc"],
+        ["fit", "{data}", "--bnb", "1,x,3"],
+        ["fit", "{data}", "--mode", "sfm", "--iters", "20", "--burnin", "5",
+         "--bnb", "1,2"],
+        ["fit", "{data}", "--mode", "foo"],
+        ["fit", "{data}", "--bogus"],
+        ["identify", "{draws}", "--vi-thin", "x"],
+        [],
+    ], ids=["iters", "bnb-value", "bnb-count", "mode", "unknown-flag",
+            "vi-thin", "no-command"])
+    def test_bad_command_line_exits_3_with_one_line(self, blob_csv, fit_dir,
+                                                    tmp_path, capsys, argv):
+        draws = os.path.join(fit_dir, "draws.csv")
+        argv = [a.format(data=blob_csv, draws=draws) for a in argv]
+        if argv:
+            argv += ["--out", str(tmp_path)]
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    # a sample text for the flag of every fit setting but data
+    FLAG_TEXT = {"mode": ["sfm"], "k": ["3"], "gamma": ["0.5"],
+                 "alpha": ["0.5"], "bnb": ["1,4,3"], "kmax": ["50"],
+                 "kinit": ["5"], "iters": ["100"], "burnin": ["10"],
+                 "thin": ["2"], "seed": ["7"], "c": ["2.5"], "phi": ["0.5"],
+                 "store_assignments": [], "permute": [], "chains": ["2"],
+                 "features": ["x,y"], "label_col": ["group"]}
+
+    @pytest.mark.parametrize("name", [k for k in cli._CONFIG_KEYS
+                                      if k != "data"])
+    def test_flag_value_passes_the_config_check(self, name):
+        flag = "--" + name.replace("_", "-")
+        args = cli.build_parser().parse_args(
+            ["fit", flag, *self.FLAG_TEXT[name]])
+        value = getattr(args, name)
+        valid = cli._CONFIG_KEYS[name][1][0]
+        assert value is not None and valid(value)
 
 
 class TestEvaluateCommand:
