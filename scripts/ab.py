@@ -11,7 +11,10 @@ of a shared machine hit both alike. Every case reads data/diabetes.csv
 
 sweep    µs per sweep of `run_chain` in fixed-k (K=3), sfm (K=10,
          gamma 0.01) and mfm, 2000 sweeps with burn-in 500, seed 1.
-         Check: SHA-256 of every stored column and trace series.
+         Check: SHA-256 of the stored draws (every column and S), so
+         the same check means the same chain. Trace: SHA-256 of the
+         trace series, reported apart, because the log-likelihood's
+         last bits follow the density arithmetic.
 startup  seconds from the process's first statement to `import
          bgmix.cli` done (import), or to the return of `init_from_kmeans`
          in `bgmix fit` in sfm and mfm (the process then exits before
@@ -24,7 +27,8 @@ vi       seconds of one `vi_partition(S, thin_to=500)` call, where S
 The JSON written to --out has, per variant and tree, every run's time in
 the child and of the whole process (interpreter start included) with
 their min and median, the ratio of the medians (change / parent), the
-check value ("varies" if the runs disagree), and whether both trees gave
+check value, and the trace value where the case has one ("varies" if the
+runs disagree); `same_check` and `same_trace` say whether both trees gave
 the same one.
 """
 
@@ -44,8 +48,9 @@ import numpy as np
 DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir,
                     "data", "diabetes.csv")
 
-# Children print one JSON line {"value": ..., "check": ...}; argv is
-# [data, scratch directory, variant argument as JSON].
+# Children print one JSON line {"value": ..., "check": ...}, the sweep
+# child with a "trace" digest too; argv is [data, scratch directory,
+# variant argument as JSON].
 
 SWEEP = """
 import hashlib, json, sys, time
@@ -62,15 +67,15 @@ config = ChainConfig(n_iter=2000, burn_in=500, seed=1)
 t0 = time.perf_counter()
 out = run_chain(data, prior, config)
 elapsed = time.perf_counter() - t0
-digest = hashlib.sha256()
+draws, trace = hashlib.sha256(), hashlib.sha256()
 rec = out.records
 for col in (rec.iter, rec.K, rec.K_plus, rec.eta, rec.mu, rec.Sigma,
             rec.N_k, rec.S):
-    digest.update(np.ascontiguousarray(col).tobytes())
+    draws.update(np.ascontiguousarray(col).tobytes())
 for name in sorted(out.trace):
-    digest.update(np.ascontiguousarray(out.trace[name]).tobytes())
+    trace.update(np.ascontiguousarray(out.trace[name]).tobytes())
 print(json.dumps({"value": elapsed / config.n_iter * 1e6,
-                  "check": digest.hexdigest()}))
+                  "check": draws.hexdigest(), "trace": trace.hexdigest()}))
 """
 
 STARTUP = """
@@ -144,7 +149,8 @@ CASES = {
             "mfm": "RandomK(1.0, 4.0, 3.0, k_max=100, k_init=10), "
                    "DynamicGamma(0.5)"},
         "what": "run_chain wall time per sweep, 2000 sweeps, burn-in 500, "
-                "seed 1; check: SHA-256 of the draws and trace"},
+                "seed 1; check: SHA-256 of the draws and S (same check, "
+                "same chain); trace: SHA-256 of the trace series"},
     "startup": {
         "child": STARTUP, "unit": "s", "setup": None,
         "variants": {
@@ -196,7 +202,8 @@ def main(argv=None):
     case = CASES[args.case]
     unit, variants = case["unit"], case["variants"]
     trees = {"parent": args.parent_src, "change": args.change_src}
-    runs = {v: {tree: {"child": [], "process": [], "check": set()}
+    # per variant and tree: times, and the set of values of each check
+    runs = {v: {tree: {"child": [], "process": [], "checks": {}}
                 for tree in trees} for v in variants}
     scratch = tempfile.mkdtemp(prefix="bgmix_ab_")
     try:
@@ -211,7 +218,9 @@ def main(argv=None):
                     run = runs[variant][tree]
                     run["child"].append(report["value"])
                     run["process"].append(process_s)
-                    run["check"].add(report["check"])
+                    for key, value in report.items():
+                        if key != "value":
+                            run["checks"].setdefault(key, set()).add(value)
             print(f"round {rnd + 1}/{args.rounds}: " + ", ".join(
                 f"{v} {runs[v]['parent']['child'][-1]:.4g}"
                 f"/{runs[v]['change']['child'][-1]:.4g} {unit}"
@@ -225,16 +234,17 @@ def main(argv=None):
         for tree in trees:
             run = runs[variant][tree]
             entry[tree] = {"child": summarize(run["child"]),
-                           "process": summarize(run["process"]),
-                           "check": (next(iter(run["check"]))
-                                     if len(run["check"]) == 1
-                                     else "varies")}
+                           "process": summarize(run["process"])}
+            for key, values in run["checks"].items():
+                entry[tree][key] = (next(iter(values)) if len(values) == 1
+                                    else "varies")
         for part in ("child", "process"):
             entry[f"{part}_median_ratio"] = (entry["change"][part]["median"]
                                              / entry["parent"][part]["median"])
-        entry["same_check"] = (entry["parent"]["check"] != "varies"
-                               and entry["parent"]["check"]
-                               == entry["change"]["check"])
+        for key in runs[variant]["parent"]["checks"]:
+            entry[f"same_{key}"] = (entry["parent"][key] != "varies"
+                                    and entry["parent"][key]
+                                    == entry["change"][key])
         results[variant] = entry
     report = {
         "case": args.case,
@@ -252,12 +262,14 @@ def main(argv=None):
         json.dump(report, fh, indent=2)
         fh.write("\n")
     for variant, entry in results.items():
+        checks = "; ".join(
+            f"{key} parent {entry['parent'][key]}, change "
+            f"{entry['change'][key]}, same: {entry[f'same_{key}']}"
+            for key in runs[variant]["parent"]["checks"])
         print(f"{variant}: parent {entry['parent']['child']['min']:.4g} "
               f"[{entry['parent']['child']['median']:.4g}] {unit}, change "
               f"{entry['change']['child']['min']:.4g} "
-              f"[{entry['change']['child']['median']:.4g}] {unit}; check "
-              f"parent {entry['parent']['check']}, change "
-              f"{entry['change']['check']}, same: {entry['same_check']}")
+              f"[{entry['change']['child']['median']:.4g}] {unit}; {checks}")
     return 0
 
 

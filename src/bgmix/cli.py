@@ -131,6 +131,13 @@ def _csv_list(text):
     return [tok.strip() for tok in text.split(",") if tok.strip()]
 
 
+def _is_names(v):
+    """One or more column names, as a list or as one comma-separated string."""
+    names = _csv_list(v) if isinstance(v, str) else v
+    return (isinstance(names, list) and len(names) > 0
+            and all(isinstance(t, str) and t.strip() for t in names))
+
+
 # (check of a value, what it wants, reader of a flag's text); a flag's value
 # must pass the same check as a config-file value; on/off flags take no text
 _STRING = (lambda v: isinstance(v, str), "a string", str)
@@ -140,9 +147,7 @@ _FLAG = (lambda v: isinstance(v, bool), "true or false", None)
 _TRIPLE = (lambda v: (isinstance(v, list) and len(v) == 3
                       and all(map(_is_number, v))), "a list of three numbers",
            lambda text: [float(tok) for tok in _csv_list(text)])
-_NAMES = (lambda v: isinstance(v, str) or (
-    isinstance(v, list) and all(isinstance(t, str) for t in v)),
-    "a string or a list of strings", _csv_list)
+_NAMES = (_is_names, "one or more column names", _csv_list)
 
 # every fit setting: its default, the value it takes and its flag's help,
 # in the order the manifest echoes them; a None default marks a setting

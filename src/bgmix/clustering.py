@@ -58,7 +58,7 @@ def _assign(points, centers):
 
 
 def _lloyd(points, centers, max_iter):
-    n, k = points.shape[0], centers.shape[0]
+    (n, d), k = points.shape, centers.shape[0]
     centers = centers.copy()
     labels = np.full(n, -1)
     for _ in range(max_iter):
@@ -79,8 +79,15 @@ def _lloyd(points, centers, max_iter):
         if np.array_equal(new_labels, labels):
             break
         labels = new_labels
-        for j in np.flatnonzero(counts):
-            centers[j] = points[labels == j].mean(axis=0)
+        # every center is its cluster's mean: one bincount over the cells
+        # label * d + column adds each cell's points in row order, as a
+        # per-cluster mean over axis 0 does, so the centers are the same
+        # bits; at d = 1 numpy pair-sums that mean, and a center may
+        # differ from it in its last bits
+        sums = np.bincount((labels[:, None] * d + np.arange(d)).ravel(),
+                           weights=points.ravel(), minlength=k * d)
+        filled = counts > 0
+        centers[filled] = sums.reshape(k, d)[filled] / counts[filled, None]
     labels, d2own = _assign(points, centers)
     return centers, labels, float(d2own.sum())
 

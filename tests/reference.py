@@ -1,12 +1,13 @@
 """Direct reference versions that tests compare the library's code with.
 
 Each function computes one quantity the direct way: one observation, one
-draw or one pair of partitions at a time.
+draw, one cluster or one pair of partitions at a time.
 """
 
 import numpy as np
 
 from bgmix import distributions as dist
+from bgmix.clustering import _assign, _seed_plus_plus
 
 
 def sample_inv_wishart(params, rng):
@@ -51,3 +52,45 @@ def expected_vi_scores(candidates, weights):
             scores[i] += weights[j] * d
             scores[j] += weights[i] * d
     return scores
+
+
+def lloyd(points, centers, max_iter):
+    """Lloyd iterations that update each cluster's center as its own mean.
+
+    Empty clusters are revived as in `bgmix.clustering`; returns the
+    centers, the labels and the inertia.
+    """
+    n, k = points.shape[0], centers.shape[0]
+    centers = centers.copy()
+    labels = np.full(n, -1)
+    for _ in range(max_iter):
+        new_labels, d2own = _assign(points, centers)
+        counts = np.bincount(new_labels, minlength=k)
+        for j in np.flatnonzero(counts == 0):
+            donors = counts[new_labels] >= 2
+            if not np.any(donors):
+                break
+            far = np.flatnonzero(donors)[np.argmax(d2own[donors])]
+            centers[j] = points[far]
+            counts[new_labels[far]] -= 1
+            counts[j] = 1
+            new_labels[far] = j
+            d2own[far] = 0.0
+        if np.array_equal(new_labels, labels):
+            break
+        labels = new_labels
+        for j in np.flatnonzero(counts):
+            centers[j] = points[labels == j].mean(axis=0)
+    labels, d2own = _assign(points, centers)
+    return centers, labels, float(d2own.sum())
+
+
+def kmeans(points, k, rng, max_iter=100, n_restarts=10):
+    """Best-of-restarts k-means over `lloyd`, seeded as bgmix.clustering."""
+    points = np.asarray(points, dtype=float)
+    best = None
+    for _ in range(n_restarts):
+        result = lloyd(points, _seed_plus_plus(points, k, rng), max_iter)
+        if best is None or result[2] < best[2]:
+            best = result
+    return best

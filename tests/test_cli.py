@@ -279,6 +279,23 @@ class TestFitCommand:
         assert rc == 3
         assert "sweeps" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("features", ["", ",", []],
+                             ids=["empty-flag", "comma-flag", "empty-list"])
+    def test_empty_feature_list_exits_3(self, blob_csv, tmp_path, capsys,
+                                        features):
+        argv = ["fit", blob_csv, "--k", "2", "--iters", "20", "--burnin", "5",
+                "--out", str(tmp_path)]
+        if isinstance(features, str):
+            argv += ["--features", features]
+        else:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({"features": features}))
+            argv += ["--config", str(cfg)]
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "features" in err
+
     @pytest.mark.parametrize("mode,bad", [
         ("fixed-k", {"gamma": "0.5"}),
         ("fixed-k", {"chains": "2"}),

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from bgmix.clustering import _assign, kmeans
+import reference
+from bgmix.clustering import _assign, _lloyd, kmeans
 
 
 def _blobs(rng, centers, n_per, scale=0.1):
@@ -117,3 +118,52 @@ class TestAssign:
         ref_labels, ref_d2 = self._broadcast_reference(points, centers)
         np.testing.assert_array_equal(labels, ref_labels)
         np.testing.assert_allclose(d2, ref_d2, rtol=1e-12, atol=0)
+
+
+class TestMatchesPerClusterMeans:
+    """Every center update sums in the order a per-cluster mean does."""
+
+    @staticmethod
+    def _assert_same(got, want):
+        centers, labels, inertia = want
+        assert got[0].tobytes() == centers.tobytes()
+        np.testing.assert_array_equal(got[1], labels)
+        assert got[2] == inertia
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_eight_clusters_of_four_thousand_points(self, seed):
+        rng = np.random.default_rng(100 + seed)
+        X, _ = _blobs(rng, rng.uniform(-6, 6, size=(8, 5)), 500, scale=1.5)
+        got = kmeans(X, 8, np.random.default_rng(seed))
+        want = reference.kmeans(X, 8, np.random.default_rng(seed))
+        self._assert_same((got.centers, got.labels, got.inertia), want)
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_start_that_revives_an_empty_cluster(self, d):
+        rng = np.random.default_rng(d)
+        X = rng.standard_normal((200, d))
+        # the far center wins no point, so the first step revives it
+        start = np.vstack([X[:3], np.full((1, d), 1e3)])
+        assert np.bincount(_assign(X, start)[0], minlength=4)[3] == 0
+        got = _lloyd(X, start, 100)
+        self._assert_same(got, reference.lloyd(X, start, 100))
+        assert np.unique(got[1]).size == 4
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_more_clusters_than_points(self, seed):
+        X = np.random.default_rng(seed).standard_normal((5, 2))
+        got = kmeans(X, 8, np.random.default_rng(seed))
+        want = reference.kmeans(X, 8, np.random.default_rng(seed))
+        self._assert_same((got.centers, got.labels, got.inertia), want)
+
+    def test_one_coordinate_agrees_to_rounding(self):
+        """At d = 1 numpy's mean pair-sums the column, so only the last
+        bits of a center may differ."""
+        rng = np.random.default_rng(21)
+        X = np.concatenate([rng.normal(c, 0.3, 300) for c in (0, 4, 9)])
+        got = kmeans(X[:, None], 3, np.random.default_rng(22))
+        centers, labels, inertia = reference.kmeans(
+            X[:, None], 3, np.random.default_rng(22))
+        np.testing.assert_array_equal(got.labels, labels)
+        np.testing.assert_allclose(got.centers, centers, rtol=1e-14)
+        np.testing.assert_allclose(got.inertia, inertia, rtol=1e-12)

@@ -180,6 +180,57 @@ class TestLogMvnormalDensity:
                              for yi in y])
             np.testing.assert_allclose(batch[:, k], loop, rtol=1e-12)
 
+    @staticmethod
+    def _column_scales(rng):
+        scale = np.array([1e-3, 1.0, 1e3, 1e6])
+        A = rng.standard_normal((3, 4, 4))
+        Sigma = (A @ np.transpose(A, (0, 2, 1)) + np.eye(4)) * np.outer(
+            scale, scale)
+        mu = rng.standard_normal((3, 4)) * scale
+        y = rng.standard_normal((30, 4)) * 3.0 * scale
+        return y, mu, Sigma
+
+    @staticmethod
+    def _near_singular(rng):
+        # rank-2 covariances in three dimensions, held up by a 1e-8 ridge
+        B = rng.standard_normal((3, 3, 2))
+        Sigma = B @ np.transpose(B, (0, 2, 1)) + 1e-8 * np.eye(3)
+        mu = rng.standard_normal((3, 3))
+        y = np.concatenate([
+            mu[0] + rng.standard_normal((20, 2)) @ B[0].T,
+            rng.standard_normal((10, 3))])
+        return y, mu, Sigma
+
+    @staticmethod
+    def _far_from_origin(rng):
+        # spreads of about 0.01 at 1e6: a form that multiplies y and mu
+        # by the inverse factor before subtracting loses about 1e-8 here
+        A = rng.standard_normal((3, 3, 3))
+        Sigma = 1e-4 * (A @ np.transpose(A, (0, 2, 1)) + 0.5 * np.eye(3))
+        mu = 1e6 + 0.01 * rng.standard_normal((3, 3))
+        y = 1e6 + 0.02 * rng.standard_normal((30, 3))
+        return y, mu, Sigma
+
+    @pytest.mark.parametrize("case", ["_column_scales", "_near_singular",
+                                      "_far_from_origin"])
+    def test_batch_matches_loop_on_hard_inputs(self, case):
+        y, mu, Sigma = getattr(self, case)(np.random.default_rng(16))
+        batch = dist.log_mvnormal_density_batch(y, mu, Sigma)
+        loop = np.array([[log_mvnormal_density(yi, mu[k], Sigma[k])
+                          for k in range(mu.shape[0])] for yi in y])
+        np.testing.assert_allclose(batch, loop, rtol=1e-10)
+
+    def test_permuting_components_permutes_columns_exactly(self):
+        rng = np.random.default_rng(17)
+        y = rng.standard_normal((50, 3))
+        mu = rng.standard_normal((6, 3))
+        A = rng.standard_normal((6, 3, 3))
+        Sigma = A @ np.transpose(A, (0, 2, 1)) + np.eye(3)
+        perm = rng.permutation(6)
+        batch = dist.log_mvnormal_density_batch(y, mu, Sigma)
+        permuted = dist.log_mvnormal_density_batch(y, mu[perm], Sigma[perm])
+        assert np.all(permuted == batch[:, perm])
+
 
 class TestBnbLogPmf:
 
