@@ -6,15 +6,29 @@ PARENT_SRC and CHANGE_SRC are the ``src`` directories of two checkouts.
 Each run is a fresh Python process with PYTHONPATH set to one tree; it
 reports one time and one check value. Round by round the case's variants
 run in turn, the two trees alternating which goes first, so slow phases
-of a shared machine hit both alike. Every case reads data/diabetes.csv
-(N=145, r=3) next to this script's checkout. CASE is one of:
+of a shared machine hit both alike. Every case but sweep-n4000 reads
+data/diabetes.csv (N=145, r=3) next to this script's checkout. CASE is
+one of:
 
 sweep    µs per sweep of `run_chain` in fixed-k (K=3), sfm (K=10,
          gamma 0.01) and mfm, 2000 sweeps with burn-in 500, seed 1.
          Check: SHA-256 of the stored draws (every column and S), so
          the same check means the same chain. Trace: SHA-256 of the
          trace series, reported apart, because the log-likelihood's
-         last bits follow the density arithmetic.
+         last bits follow the density arithmetic. Faults: minor page
+         faults of the process during `run_chain` (getrusage
+         ru_minflt) per sweep, which count memory handed back to the
+         system and taken again; init_faults: those of its k-means
+         start alone, in total. glibc's dynamic mmap threshold decides
+         how much freed memory goes back, and it rises with the largest
+         block freed so far, so both counts depend on what the process
+         allocated before.
+sweep-n4000
+         the sweep case in sfm (K=8, gamma 0.01), 150 sweeps with
+         burn-in 50, seed 1, on N=4000, r=5 data: eight groups drawn
+         by numpy from a fixed seed before the rounds, so both trees
+         read the same file. At this size the (K, N, r) density arrays
+         dominate a sweep, which the diabetes data cannot show.
 startup  seconds from the process's first statement to `import
          bgmix.cli` done (import), or to the return of `init_from_kmeans`
          in `bgmix fit` in sfm and mfm (the process then exits before
@@ -29,7 +43,8 @@ the child and of the whole process (interpreter start included) with
 their min and median, the ratio of the medians (change / parent), the
 check value, and the trace value where the case has one ("varies" if the
 runs disagree); `same_check` and `same_trace` say whether both trees gave
-the same one.
+the same one. Counts a child reports beside its time (the sweep cases'
+fault counts) get a min and median like the times.
 """
 
 import argparse
@@ -49,24 +64,43 @@ DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir,
                     "data", "diabetes.csv")
 
 # Children print one JSON line {"value": ..., "check": ...}, the sweep
-# child with a "trace" digest too; argv is [data, scratch directory,
-# variant argument as JSON].
+# child with a "trace" digest and fault counts too; argv is [data,
+# scratch directory, variant argument as JSON].
 
 SWEEP = """
-import hashlib, json, sys, time
+import hashlib, json, resource, sys, time
 import numpy as np
 from bgmix.cli import load_dataset
 from bgmix.model import (ChainConfig, DynamicGamma, FixedGamma, FixedK,
                          RandomK, build_default_prior)
-from bgmix.sampler import run_chain
+import bgmix.sampler
 
+
+def minflt():
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+
+init, init_faults = bgmix.sampler.init_from_kmeans, []
+
+
+def counted_init(*args):
+    before = minflt()
+    state = init(*args)
+    init_faults.append(minflt() - before)
+    return state
+
+
+bgmix.sampler.init_from_kmeans = counted_init
 data = load_dataset(sys.argv[1])
-k_prior, gamma_spec = eval(json.loads(sys.argv[3]))
+spec, n_iter, burn_in = json.loads(sys.argv[3])
+k_prior, gamma_spec = eval(spec)
 prior = build_default_prior(data, gamma_spec=gamma_spec, k_prior=k_prior)
-config = ChainConfig(n_iter=2000, burn_in=500, seed=1)
+config = ChainConfig(n_iter=n_iter, burn_in=burn_in, seed=1)
+faults = minflt()
 t0 = time.perf_counter()
-out = run_chain(data, prior, config)
+out = bgmix.sampler.run_chain(data, prior, config)
 elapsed = time.perf_counter() - t0
+faults = minflt() - faults
 draws, trace = hashlib.sha256(), hashlib.sha256()
 rec = out.records
 for col in (rec.iter, rec.K, rec.K_plus, rec.eta, rec.mu, rec.Sigma,
@@ -75,7 +109,20 @@ for col in (rec.iter, rec.K, rec.K_plus, rec.eta, rec.mu, rec.Sigma,
 for name in sorted(out.trace):
     trace.update(np.ascontiguousarray(out.trace[name]).tobytes())
 print(json.dumps({"value": elapsed / config.n_iter * 1e6,
+                  "faults": faults / config.n_iter,
+                  "init_faults": init_faults[0],
                   "check": draws.hexdigest(), "trace": trace.hexdigest()}))
+"""
+
+N4000 = """
+import os, sys
+import numpy as np
+
+rng = np.random.default_rng(4000)
+centers = rng.normal(0.0, 6.0, size=(8, 5))
+y = centers[rng.integers(0, 8, size=4000)] + rng.standard_normal((4000, 5))
+np.savetxt(os.path.join(sys.argv[2], "n4000.csv"), y, fmt="%.17g",
+           delimiter=",", header="x1,x2,x3,x4,x5", comments="")
 """
 
 STARTUP = """
@@ -138,21 +185,41 @@ print(json.dumps({"value": elapsed, "check": hashlib.sha256(
     np.ascontiguousarray(part.labels, dtype=np.int64).tobytes()).hexdigest()}))
 """
 
+DIABETES = "data/diabetes.csv (N=145, r=3)"
+FAULTS = {"faults": "per sweep", "init_faults": "per chain"}
+
 # the child, the unit of its time, {variant: argument}, a child run once
-# by the parent tree before the rounds, and what the time measures
+# by the parent tree before the rounds, the data file (None: DATA, else a
+# file the setup child writes to the scratch directory) and what it holds,
+# the counts the child reports beside its time with their units, and what
+# the time measures
 CASES = {
     "sweep": {
         "child": SWEEP, "unit": "us", "setup": None,
+        "data": None, "data_what": DIABETES, "counts": FAULTS,
         "variants": {
-            "fixed-k": "FixedK(3), FixedGamma(1.0)",
-            "sfm": "FixedK(10), FixedGamma(0.01)",
-            "mfm": "RandomK(1.0, 4.0, 3.0, k_max=100, k_init=10), "
-                   "DynamicGamma(0.5)"},
+            "fixed-k": ["FixedK(3), FixedGamma(1.0)", 2000, 500],
+            "sfm": ["FixedK(10), FixedGamma(0.01)", 2000, 500],
+            "mfm": ["RandomK(1.0, 4.0, 3.0, k_max=100, k_init=10), "
+                    "DynamicGamma(0.5)", 2000, 500]},
         "what": "run_chain wall time per sweep, 2000 sweeps, burn-in 500, "
-                "seed 1; check: SHA-256 of the draws and S (same check, "
-                "same chain); trace: SHA-256 of the trace series"},
+                "seed 1; faults: minor page faults in run_chain per sweep, "
+                "init_faults: those of its k-means start; "
+                "check: SHA-256 of the draws and S (same check, same "
+                "chain); trace: SHA-256 of the trace series"},
+    "sweep-n4000": {
+        "child": SWEEP, "unit": "us", "setup": N4000,
+        "data": "n4000.csv", "counts": FAULTS,
+        "data_what": "N=4000, r=5, eight groups, numpy seed 4000",
+        "variants": {"sfm": ["FixedK(8), FixedGamma(0.01)", 150, 50]},
+        "what": "run_chain wall time per sweep, 150 sweeps, burn-in 50, "
+                "seed 1; faults: minor page faults in run_chain per sweep, "
+                "init_faults: those of its k-means start; "
+                "check: SHA-256 of the draws and S (same check, same "
+                "chain); trace: SHA-256 of the trace series"},
     "startup": {
         "child": STARTUP, "unit": "s", "setup": None,
+        "data": None, "data_what": DIABETES, "counts": {},
         "variants": {
             "import": None,
             "fit-sfm": ["--mode", "sfm", "--iters", "2000", "--burnin",
@@ -164,6 +231,7 @@ CASES = {
                 "fit` (fit-*); check: scipy.special loaded"},
     "vi": {
         "child": VI, "unit": "s", "setup": VI_CHAIN,
+        "data": None, "data_what": DIABETES, "counts": {},
         "variants": {"thin-500": 500},
         "what": "seconds of vi_partition(S, thin_to=500) on the assignments "
                 "of a fixed-k (K=3) chain, 3000 sweeps, burn-in 500, seed 1; "
@@ -171,12 +239,12 @@ CASES = {
 }
 
 
-def run_child(src, code, scratch, arg=None):
+def run_child(src, code, scratch, arg=None, data=DATA):
     """One fresh process on one tree: (its JSON report, process seconds)."""
     env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
     t0 = time.perf_counter()
     proc = subprocess.run(
-        [sys.executable, "-c", code, DATA, scratch, json.dumps(arg)],
+        [sys.executable, "-c", code, data, scratch, json.dumps(arg)],
         env=env, capture_output=True, text=True, check=True)
     process_s = time.perf_counter() - t0
     lines = proc.stdout.strip().splitlines()
@@ -201,11 +269,15 @@ def main(argv=None):
 
     case = CASES[args.case]
     unit, variants = case["unit"], case["variants"]
+    series = ["child", "process", *case["counts"]]
     trees = {"parent": args.parent_src, "change": args.change_src}
-    # per variant and tree: times, and the set of values of each check
-    runs = {v: {tree: {"child": [], "process": [], "checks": {}}
+    # per variant and tree: times and counts, and the set of values of
+    # each check
+    runs = {v: {tree: {**{part: [] for part in series}, "checks": {}}
                 for tree in trees} for v in variants}
     scratch = tempfile.mkdtemp(prefix="bgmix_ab_")
+    data = (DATA if case["data"] is None
+            else os.path.join(scratch, case["data"]))
     try:
         if case["setup"] is not None:
             run_child(trees["parent"], case["setup"], scratch)
@@ -214,12 +286,14 @@ def main(argv=None):
             for variant, arg in variants.items():
                 for tree in order:
                     report, process_s = run_child(
-                        trees[tree], case["child"], scratch, arg)
+                        trees[tree], case["child"], scratch, arg, data)
                     run = runs[variant][tree]
-                    run["child"].append(report["value"])
+                    run["child"].append(report.pop("value"))
                     run["process"].append(process_s)
                     for key, value in report.items():
-                        if key != "value":
+                        if key in run:
+                            run[key].append(value)
+                        else:
                             run["checks"].setdefault(key, set()).add(value)
             print(f"round {rnd + 1}/{args.rounds}: " + ", ".join(
                 f"{v} {runs[v]['parent']['child'][-1]:.4g}"
@@ -233,8 +307,7 @@ def main(argv=None):
         entry = {}
         for tree in trees:
             run = runs[variant][tree]
-            entry[tree] = {"child": summarize(run["child"]),
-                           "process": summarize(run["process"])}
+            entry[tree] = {part: summarize(run[part]) for part in series}
             for key, values in run["checks"].items():
                 entry[tree][key] = (next(iter(values)) if len(values) == 1
                                     else "varies")
@@ -248,9 +321,10 @@ def main(argv=None):
         results[variant] = entry
     report = {
         "case": args.case,
-        "what": case["what"] + "; data/diabetes.csv (N=145, r=3), fresh "
-                "process per run, trees interleaved",
-        "units": {"child": unit, "process": "s"},
+        "what": case["what"] + f"; {case['data_what']}, fresh process "
+                "per run, trees interleaved",
+        "units": {"child": unit, "process": "s",
+                  **case["counts"]},
         "rounds": args.rounds,
         "variants": variants,
         "machine": {"cpus": os.cpu_count(), "machine": platform.machine(),
@@ -266,10 +340,15 @@ def main(argv=None):
             f"{key} parent {entry['parent'][key]}, change "
             f"{entry['change'][key]}, same: {entry[f'same_{key}']}"
             for key in runs[variant]["parent"]["checks"])
+        counts = "".join(
+            f"; {count} median parent {entry['parent'][count]['median']:.4g}"
+            f", change {entry['change'][count]['median']:.4g}"
+            for count in case["counts"])
         print(f"{variant}: parent {entry['parent']['child']['min']:.4g} "
               f"[{entry['parent']['child']['median']:.4g}] {unit}, change "
               f"{entry['change']['child']['min']:.4g} "
-              f"[{entry['change']['child']['median']:.4g}] {unit}; {checks}")
+              f"[{entry['change']['child']['median']:.4g}] {unit}{counts}; "
+              f"{checks}")
     return 0
 
 

@@ -47,12 +47,16 @@ def _assign(points, centers):
     d < 8 that is the order numpy's sum over the last axis uses, so the
     result is bit-identical to summing the (n, k, d) squares; from d = 8
     numpy pairs the terms, and a distance may differ in its last bit (a
-    label only for a point equidistant to one ulp).
+    label only for a point equidistant to one ulp). Each coordinate's
+    squares are formed in one reused (k, n) work array, so a call holds
+    two such arrays at a time, not three.
     """
     cols = np.ascontiguousarray(points.T)
-    d2 = (centers[:, 0, None] - cols[0]) ** 2
+    d2 = np.square(centers[:, 0, None] - cols[0])
+    diff = np.empty_like(d2)
     for j in range(1, cols.shape[0]):
-        d2 += (centers[:, j, None] - cols[j]) ** 2
+        np.subtract(centers[:, j, None], cols[j], out=diff)
+        d2 += np.square(diff, out=diff)
     labels = np.argmin(d2, axis=0)
     return labels, d2[labels, np.arange(cols.shape[1])]
 

@@ -11,9 +11,41 @@ is the distribution of the inverse of such a draw, with mean
 in this module; everything else calls these functions.
 """
 
+import math
+import threading
 from functools import lru_cache
 
 import numpy as np
+
+
+class _Scratch(threading.local):
+    """Work arrays reused from call to call, one set per thread."""
+
+    def __init__(self):
+        self.buffers = {}
+
+
+_scratch = _Scratch()
+
+
+def scratch(name, shape, dtype=float):
+    """A work array of the given shape, reused from call to call under name.
+
+    It is a view of a flat buffer that is kept per thread and only grows,
+    so a smaller K or N reuses it too. Its contents are undefined: the
+    caller overwrites all of it, and it never leaves the calling function,
+    because the next call under the same name overwrites it.
+    """
+    size = math.prod(shape)
+    buf = _scratch.buffers.get(name)
+    if buf is None or buf.dtype != dtype or buf.size < size:
+        buf = _scratch.buffers[name] = np.empty(size, dtype)
+    return buf[:size].reshape(shape)
+
+
+def free_scratch():
+    """Drop this thread's scratch buffers, returning their memory."""
+    _scratch.buffers.clear()
 
 
 class WishartParams:
@@ -141,6 +173,13 @@ def log_mvnormal_density_batch(Y, mu, Sigma):
     offset of 1e6 and on a Sigma held up by a 1e-8 ridge, where both
     lose about cond(Sigma) * eps.
 
+    The (K, N, r) deviations and their product with the inverse factors
+    are written into the scratch arrays "dev" and "z", which are reused
+    from call to call instead of being allocated and freed each time;
+    neither leaves this function. The returned matrix is always a new
+    array; the constant terms are added to it in place, with no (K, N)
+    temporary.
+
     Parameters
     ----------
     Y : ndarray, shape (N, r)
@@ -160,13 +199,16 @@ def log_mvnormal_density_batch(Y, mu, Sigma):
     except np.linalg.LinAlgError as exc:
         raise ValueError("every Sigma must be positive definite") from exc
     Linv_T = np.transpose(np.linalg.inv(L), (0, 2, 1))        # (K, r, r)
-    dev = Y[None, :, :] - mu[:, None, :]                      # (K, N, r)
-    z = dev @ Linv_T                                          # (K, N, r)
+    K = mu.shape[0]
+    dev = np.subtract(Y[None, :, :], mu[:, None, :],
+                      out=scratch("dev", (K, N, r)))          # (K, N, r)
+    z = np.matmul(dev, Linv_T, out=scratch("z", (K, N, r)))   # (K, N, r)
     maha = np.einsum("knr,knr->kn", z, z)                     # (K, N)
     ii = np.arange(r)
     logdet = 2.0 * np.sum(np.log(L[:, ii, ii]), axis=1)       # (K,)
-    out = -0.5 * (r * np.log(2.0 * np.pi) + logdet[:, None] + maha)
-    return out.T
+    maha += (r * np.log(2.0 * np.pi) + logdet)[:, None]
+    maha *= -0.5
+    return maha.T
 
 
 def bnb_log_pmf(k_minus_1, a_l, a_pi, b_pi):

@@ -127,6 +127,12 @@ class Dataset:
 
 @dataclass
 class PriorConfig:
+    """The hierarchical prior above, with the per-chain constants of b0, B0.
+
+    B0_inv = B0^-1 and B0_inv_b0 = B0^-1 b0 enter every component update;
+    they are computed here, once, and are read-only, so b0 and B0 must
+    not change after construction.
+    """
     gamma_spec: object                 # FixedGamma or DynamicGamma
     b0: np.ndarray
     B0: np.ndarray
@@ -137,6 +143,13 @@ class PriorConfig:
     C0_init: np.ndarray
     G0: np.ndarray
     k_prior: object                    # FixedK or RandomK
+    B0_inv: np.ndarray = field(init=False, repr=False, compare=False)
+    B0_inv_b0: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.B0_inv = np.linalg.inv(self.B0)
+        self.B0_inv_b0 = self.B0_inv @ self.b0
+        self.B0_inv.flags.writeable = self.B0_inv_b0.flags.writeable = False
 
 
 @dataclass
@@ -224,8 +237,9 @@ def log_weighted_densities(data, state):
     """(N, K) matrix of log eta_k + log f_N(y_i | mu_k, Sigma_k)."""
     with np.errstate(divide="ignore"):
         log_eta = np.log(state.eta)
-    return log_eta[None, :] + dist.log_mvnormal_density_batch(
-        data.y, state.mu, state.Sigma)
+    logm = dist.log_mvnormal_density_batch(data.y, state.mu, state.Sigma)
+    logm += log_eta[None, :]
+    return logm
 
 
 def mixture_log_likelihood(data, state, logm=None):
@@ -241,7 +255,9 @@ def mixture_log_likelihood(data, state, logm=None):
     rowmax = logm.max(axis=1)
     if np.any(np.isneginf(rowmax)):
         return float("-inf")
-    terms = np.exp(np.sort(logm - rowmax[:, None], axis=1))
+    terms = logm - rowmax[:, None]
+    terms.sort(axis=1)
+    np.exp(terms, out=terms)
     return float(np.sum(np.log(terms.sum(axis=1)) + rowmax))
 
 

@@ -15,8 +15,22 @@ matrix of log-weighted component densities once: built at the end of a
 sweep, it gives the trace log-likelihood and then the next sweep's
 classification, which sees the same state. Functions of the prior alone
 are computed once: a RandomK prior holds its log prior of K over
-1..k_max from construction, and run_chain adds gamma_K over the same
-range once per chain.
+1..k_max from construction, as PriorConfig holds B0^-1 and B0^-1 b0,
+and run_chain adds gamma_K over the same range once per chain.
+
+The four largest work arrays of a sweep are reused from sweep to sweep
+instead of being allocated and freed each time (distributions.scratch):
+the density's (K, N, r) deviations and their product with the inverse
+Cholesky factors, and step_component_params' (N, r*r) scatter cell
+indices and (N, r, r) outer products. A scratch array never leaves the
+function that fills it; what a step returns or stores in the state,
+like the (N, K) density matrix carried to the next classify, is a new
+array. run_chain frees the buffers when it returns or raises, so none
+outlives the chain. The (N, K) steps (the density's constant terms, the
+weights, classify's probabilities, the trace log-likelihood's sorted
+terms) and k-means' distances work in place, so fewer temporaries are
+alive at once: memory freed in a sweep can stay below the point where
+the allocator hands it back to the system.
 
 scipy.special, which costs about 0.4 s to import, is loaded only by the
 telescoping sweep's log-gamma terms, and first when a RandomK prior is
@@ -127,7 +141,8 @@ def step_classify(data, state, rng, logp=None):
         i = int(np.flatnonzero(dead)[0])
         raise NumericalError(f"all component densities underflowed for "
                              f"observation {i}")
-    p = np.exp(logp - rowmax[:, None])
+    p = logp - rowmax[:, None]
+    np.exp(p, out=p)
     p /= p.sum(axis=1, keepdims=True)
     u = rng.random(data.n)
     state.S = np.minimum((np.cumsum(p, axis=1) < u[:, None]).sum(axis=1),
@@ -151,22 +166,24 @@ def step_component_params(data, state, prior, rng):
     """
     K, r = state.K, data.r
     Nk = state.N_k.astype(float)
-    B0_inv = np.linalg.inv(prior.B0)
     Sig_inv = np.linalg.inv(state.Sigma)
-    Bk = np.linalg.inv(B0_inv[None, :, :] + Nk[:, None, None] * Sig_inv)
+    Bk = np.linalg.inv(prior.B0_inv[None, :, :] + Nk[:, None, None] * Sig_inv)
     Bk = 0.5 * (Bk + np.transpose(Bk, (0, 2, 1)))
     # bincount adds each bin's weights in index order, as np.add.at does
     cell = state.S[:, None] * r + np.arange(r)
     sums = np.bincount(cell.ravel(), weights=data.y.ravel(),
                        minlength=K * r).reshape(K, r)
-    rhs = (B0_inv @ prior.b0)[None, :] + np.einsum("kij,kj->ki", Sig_inv, sums)
+    rhs = prior.B0_inv_b0[None, :] + np.einsum("kij,kj->ki", Sig_inv, sums)
     bk = np.einsum("kij,kj->ki", Bk, rhs)
     state.mu = dist.sample_mvnormal_batch(bk, Bk, rng)
 
     dev = data.y - state.mu[state.S]
-    cell = state.S[:, None] * (r * r) + np.arange(r * r)
-    scatter = np.bincount(cell.ravel(),
-                          weights=(dev[:, :, None] * dev[:, None, :]).ravel(),
+    cell = np.multiply(state.S[:, None], r * r,
+                       out=dist.scratch("cell", (data.n, r * r), np.intp))
+    cell += np.arange(r * r)
+    outer = np.multiply(dev[:, :, None], dev[:, None, :],
+                        out=dist.scratch("outer", (data.n, r, r)))
+    scatter = np.bincount(cell.ravel(), weights=outer.ravel(),
                           minlength=K * r * r).reshape(K, r, r)
     Ck = state.C0[None, :, :] + 0.5 * scatter
     state.Sigma = dist.sample_inv_wishart_batch(prior.c0 + Nk / 2.0, Ck, rng)
@@ -336,39 +353,47 @@ def run_chain(data, prior, config, rng=None):
     if not telescoping:
         trace["mu1"] = np.empty((M, k_init))
 
-    logp = None  # the first classify evaluates the densities itself
-    for it in range(M):
-        try:
-            step_classify(data, state, rng, logp)
-            logp = None  # stale from here on; do not hold it through the sweep
-            if telescoping:
-                compact_filled(state)
-                step_component_params(data, state, prior, rng)
-                step_sample_K(state, prior, rng)
-                step_add_empty(state, prior, rng)
-                step_weights(state, prior.gamma_spec.gamma_for(state.K), rng)
-                step_hyper(state, prior, rng, filled_only=True)
-            else:
-                step_component_params(data, state, prior, rng)
-                step_hyper(state, prior, rng, filled_only=False)
-                step_weights(state, prior.gamma_spec.gamma_for(state.K), rng)
-            if config.permutation_step:
-                permute_labels_random(state, rng)
-            # one evaluation serves the trace and the next sweep's classify
-            logp = log_weighted_densities(data, state)
-            trace["log_lik"][it] = mixture_log_likelihood(data, state, logp)
-        except Exception as exc:
-            raise SamplerError(f"iteration {it}: {exc}") from exc
+    try:
+        logp = None  # the first classify evaluates the densities itself
+        for it in range(M):
+            try:
+                step_classify(data, state, rng, logp)
+                # stale from here on; do not hold it through the sweep
+                logp = None
+                if telescoping:
+                    compact_filled(state)
+                    step_component_params(data, state, prior, rng)
+                    step_sample_K(state, prior, rng)
+                    step_add_empty(state, prior, rng)
+                    step_weights(state, prior.gamma_spec.gamma_for(state.K),
+                                 rng)
+                    step_hyper(state, prior, rng, filled_only=True)
+                else:
+                    step_component_params(data, state, prior, rng)
+                    step_hyper(state, prior, rng, filled_only=False)
+                    step_weights(state, prior.gamma_spec.gamma_for(state.K),
+                                 rng)
+                if config.permutation_step:
+                    permute_labels_random(state, rng)
+                # one evaluation serves the trace and the next classify
+                logp = log_weighted_densities(data, state)
+                trace["log_lik"][it] = mixture_log_likelihood(data, state,
+                                                              logp)
+            except Exception as exc:
+                raise SamplerError(f"iteration {it}: {exc}") from exc
 
-        trace["K"][it] = state.K
-        trace["K_plus"][it] = state.K_plus
-        if not telescoping:
-            trace["mu1"][it] = state.mu[:, 0]
-        if it >= burn and (it - burn) % thin == 0:
-            if S is not None:
-                S[len(sweeps)] = state.S
-            sweeps.append((it, state.K, state.K_plus, state.eta.copy(),
-                           state.mu.copy(), state.Sigma.copy(),
-                           state.N_k.copy()))
+            trace["K"][it] = state.K
+            trace["K_plus"][it] = state.K_plus
+            if not telescoping:
+                trace["mu1"][it] = state.mu[:, 0]
+            if it >= burn and (it - burn) % thin == 0:
+                if S is not None:
+                    S[len(sweeps)] = state.S
+                sweeps.append((it, state.K, state.K_plus, state.eta.copy(),
+                               state.mu.copy(), state.Sigma.copy(),
+                               state.N_k.copy()))
+    finally:
+        # no work array outlives the chain
+        dist.free_scratch()
 
     return ChainOutput(records=Draws.from_sweeps(sweeps, S), trace=trace)

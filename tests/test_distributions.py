@@ -1,5 +1,8 @@
 """Unit tests for the distribution samplers and densities."""
 
+import threading
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.stats import multivariate_normal
@@ -230,6 +233,52 @@ class TestLogMvnormalDensity:
         batch = dist.log_mvnormal_density_batch(y, mu, Sigma)
         permuted = dist.log_mvnormal_density_batch(y, mu[perm], Sigma[perm])
         assert np.all(permuted == batch[:, perm])
+
+    @staticmethod
+    def _inputs(rng, N, K, r):
+        A = rng.standard_normal((K, r, r))
+        Sigma = A @ np.transpose(A, (0, 2, 1)) + np.eye(r)
+        return (rng.standard_normal((N, r)) * 2, rng.standard_normal((K, r)),
+                Sigma)
+
+    def test_work_arrays_are_reused(self):
+        """After a warm-up call, a call allocates less than one (K, N, r)
+        array. numpy reports its data buffers to tracemalloc, so the bound
+        does not depend on the C allocator."""
+        N, K, r = 4000, 8, 5
+        y, mu, Sigma = self._inputs(np.random.default_rng(18), N, K, r)
+        dist.log_mvnormal_density_batch(y, mu, Sigma)
+        tracemalloc.start()
+        try:
+            dist.log_mvnormal_density_batch(y, mu, Sigma)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < K * N * r * 8
+
+    def test_reused_work_arrays_do_not_leak_between_calls(self):
+        rng = np.random.default_rng(19)
+        results = []
+        for N, K in [(4000, 8), (150, 3), (4000, 8)]:
+            y, mu, Sigma = self._inputs(rng, N, K, 5)
+            batch = dist.log_mvnormal_density_batch(y, mu, Sigma)
+            loop = np.array([[log_mvnormal_density(yi, mu[k], Sigma[k])
+                              for k in range(K)] for yi in y])
+            np.testing.assert_allclose(batch, loop, rtol=1e-10)
+            results.append(batch)
+        for i, a in enumerate(results):
+            for b in results[i + 1:]:
+                assert not np.shares_memory(a, b)
+
+    def test_threads_get_their_own_work_arrays(self):
+        mine = dist.scratch("dev", (2, 3))
+        theirs = []
+        worker = threading.Thread(
+            target=lambda: theirs.append(dist.scratch("dev", (2, 3))))
+        worker.start()
+        worker.join(timeout=10)
+        assert not worker.is_alive()
+        assert not np.shares_memory(mine, theirs[0])
 
 
 class TestBnbLogPmf:

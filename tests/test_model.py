@@ -129,6 +129,19 @@ class TestBuildDefaultPrior:
         expected = 2.0 * prior.C0_init / (2 * prior.c0 - r - 1)
         np.testing.assert_allclose(expected, 0.6 * S, rtol=1e-12)
 
+    def test_component_update_constants_are_built_once(self):
+        """B0^-1 and B0^-1 b0 are computed at construction, with the same
+        calls as the component update once made per sweep, and are
+        read-only."""
+        prior = build_default_prior(_dataset(np.random.default_rng(5), r=3))
+        B0_inv = np.linalg.inv(prior.B0)
+        np.testing.assert_array_equal(prior.B0_inv, B0_inv)
+        np.testing.assert_array_equal(prior.B0_inv_b0, B0_inv @ prior.b0)
+        with pytest.raises(ValueError):
+            prior.B0_inv[0, 0] = 1.0
+        with pytest.raises(ValueError):
+            prior.B0_inv_b0[0] = 1.0
+
     def test_rejects_tiny_dataset(self):
         data = Dataset(y=np.array([[1.0, 2.0]]), feature_names=["a", "b"])
         with pytest.raises(ValueError):

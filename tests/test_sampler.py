@@ -1,5 +1,7 @@
 """Unit tests for the Gibbs sweep steps and the chain driver."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -208,6 +210,28 @@ class TestStepComponentParams:
         step_component_params(data, state, prior, np.random.default_rng(17))
         np.testing.assert_array_equal(state.mu, mu)
         np.testing.assert_array_equal(state.Sigma, Sigma)
+
+    def test_work_arrays_are_reused(self):
+        """After a warm-up call, an update at N = 4000, r = 5 allocates
+        less than one (N, r, r) array of outer products."""
+        rng = np.random.default_rng(20)
+        N, K, r = 4000, 8, 5
+        data = Dataset(y=rng.standard_normal((N, r)) * 3,
+                       feature_names=[f"x{j}" for j in range(r)])
+        prior = build_default_prior(data, k_prior=FixedK(K))
+        state = MixtureState(K=K, eta=np.full(K, 1.0 / K),
+                             mu=rng.standard_normal((K, r)),
+                             Sigma=np.tile(np.eye(r), (K, 1, 1)),
+                             C0=prior.C0_init.copy(),
+                             S=rng.integers(0, K, size=N))
+        step_component_params(data, state, prior, rng)
+        tracemalloc.start()
+        try:
+            step_component_params(data, state, prior, rng)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < N * r * r * 8
 
     def test_mean_update_centers_on_posterior_mean(self, monkeypatch):
         """With the normal draw replaced by its mean, mu_k is
@@ -460,6 +484,25 @@ class TestRunChain:
         assert out.trace["K"].shape == (40,)
         assert np.all(out.trace["K"] == 2)
         assert out.trace["mu1"].shape == (40, 2)
+
+    def test_work_arrays_freed_when_chain_ends(self, monkeypatch):
+        data, prior = self._setup()
+        cfg = ChainConfig(n_iter=5, burn_in=1, seed=34)
+        run_chain(data, prior, cfg)
+        assert not dist._scratch.buffers
+
+        held = []
+
+        def boom(*args, **kwargs):
+            held.append(sorted(dist._scratch.buffers))
+            raise ValueError("boom")
+
+        monkeypatch.setattr(smp, "step_hyper", boom)
+        with pytest.raises(SamplerError):
+            run_chain(data, prior, cfg)
+        # the density and the component update had filled theirs
+        assert held == [["cell", "dev", "outer", "z"]]
+        assert not dist._scratch.buffers
 
     def test_store_assignments_off(self):
         data, prior = self._setup()
