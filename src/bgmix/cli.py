@@ -19,7 +19,6 @@ import time
 from dataclasses import replace
 
 import numpy as np
-from scipy import __version__ as _scipy_version
 
 from . import __version__
 from .artifacts import (UnreadableInputError, _sha256, load_table,
@@ -40,7 +39,7 @@ class ConfigError(RuntimeError):
     """Flags, config file, or their combination are invalid (exit 3)."""
 
 
-_VERSIONS = f"bgmix {__version__} (numpy {np.__version__}, scipy {_scipy_version})"
+_VERSIONS = f"bgmix {__version__} (numpy {np.__version__})"
 
 
 # ---------------------------------------------------------------------------

@@ -38,22 +38,33 @@ def _seed_plus_plus(points, k, rng):
     return centers
 
 
-def _assign(points, centers):
-    """Nearest center of each point and its squared distance.
+def _work_arrays(points, k):
+    """_assign's work: the (d, n) transposed points and two (k, n) arrays.
 
-    The squared distances are summed one coordinate at a time, in
-    coordinate order, into one (k, n) array, with no (n, k, d)
-    temporary; the (k, n) layout keeps the long axis innermost. For
-    d < 8 that is the order numpy's sum over the last axis uses, so the
-    result is bit-identical to summing the (n, k, d) squares; from d = 8
-    numpy pairs the terms, and a distance may differ in its last bit (a
-    label only for a point equidistant to one ulp). Each coordinate's
-    squares are formed in one reused (k, n) work array, so a call holds
-    two such arrays at a time, not three.
+    kmeans builds them once per call; every restart and Lloyd step then
+    writes into the same two arrays instead of allocating and freeing
+    them each time.
     """
     cols = np.ascontiguousarray(points.T)
-    d2 = np.square(centers[:, 0, None] - cols[0])
-    diff = np.empty_like(d2)
+    d2 = np.empty((k, cols.shape[1]))
+    return cols, d2, np.empty_like(d2)
+
+
+def _assign(work, centers):
+    """Nearest center of each point and its squared distance.
+
+    work is _work_arrays(points, k); its two (k, n) arrays are
+    overwritten. The squared distances are summed one coordinate at a
+    time, in coordinate order, with no (n, k, d) temporary; the (k, n)
+    layout keeps the long axis innermost. For d < 8 that is the order
+    numpy's sum over the last axis uses, so the result is bit-identical
+    to summing the (n, k, d) squares; from d = 8 numpy pairs the terms,
+    and a distance may differ in its last bit (a label only for a point
+    equidistant to one ulp). The returned arrays are new.
+    """
+    cols, d2, diff = work
+    np.subtract(centers[:, 0, None], cols[0], out=d2)
+    np.square(d2, out=d2)
     for j in range(1, cols.shape[0]):
         np.subtract(centers[:, j, None], cols[j], out=diff)
         d2 += np.square(diff, out=diff)
@@ -61,12 +72,12 @@ def _assign(points, centers):
     return labels, d2[labels, np.arange(cols.shape[1])]
 
 
-def _lloyd(points, centers, max_iter):
+def _lloyd(points, centers, max_iter, work):
     (n, d), k = points.shape, centers.shape[0]
     centers = centers.copy()
     labels = np.full(n, -1)
     for _ in range(max_iter):
-        new_labels, d2own = _assign(points, centers)
+        new_labels, d2own = _assign(work, centers)
         # revive empty clusters from the point farthest from its own center,
         # donating only from clusters that keep at least one member
         counts = np.bincount(new_labels, minlength=k)
@@ -92,7 +103,7 @@ def _lloyd(points, centers, max_iter):
                            weights=points.ravel(), minlength=k * d)
         filled = counts > 0
         centers[filled] = sums.reshape(k, d)[filled] / counts[filled, None]
-    labels, d2own = _assign(points, centers)
+    labels, d2own = _assign(work, centers)
     return centers, labels, float(d2own.sum())
 
 
@@ -125,10 +136,11 @@ def kmeans(points, k, rng, max_iter=100, n_restarts=10):
     if k < 1:
         raise ValueError("k must be at least 1")
 
+    work = _work_arrays(points, k)
     best = None
     for _ in range(n_restarts):
         seeded = _seed_plus_plus(points, k, rng)
-        result = _lloyd(points, seeded, max_iter)
+        result = _lloyd(points, seeded, max_iter, work)
         if best is None or result[2] < best[2]:
             best = result
     centers, labels, inertia = best

@@ -211,22 +211,33 @@ def log_mvnormal_density_batch(Y, mu, Sigma):
     return maha.T
 
 
+_lgamma = np.frompyfunc(math.lgamma, 1, 1)
+
+
+def log_gamma(x):
+    """log |Gamma(x)| elementwise, from the standard library's math.lgamma.
+
+    Returns a float for a scalar x and a float array of x's shape
+    otherwise. x must avoid the poles 0, -1, -2, ...
+    """
+    out = np.asarray(_lgamma(x), dtype=float)
+    return out if out.ndim else float(out)
+
+
 def bnb_log_pmf(k_minus_1, a_l, a_pi, b_pi):
     """Log pmf of the beta-negative-binomial BNB(a_l, a_pi, b_pi) at k_minus_1.
 
     P(X = x) = Gamma(a_l + x) / (x! Gamma(a_l)) * B(a_pi + a_l, b_pi + x) / B(a_pi, b_pi)
 
+    with log B(a, b) = log Gamma(a) + log Gamma(b) - log Gamma(a + b).
     Accepts scalar or array x; x must be a nonnegative integer value.
-    scipy.special is imported here, not with the module: loading it
-    costs about 0.4 s, and only the telescoping sweep needs it.
     """
-    from scipy.special import betaln, gammaln
-
     if a_l <= 0 or a_pi <= 0 or b_pi <= 0:
         raise ValueError("BNB parameters must be positive")
     x = np.asarray(k_minus_1, dtype=float)
     if np.any(x < 0) or np.any(x != np.floor(x)):
         raise ValueError("BNB support is the nonnegative integers")
-    out = (gammaln(a_l + x) - gammaln(x + 1.0) - gammaln(a_l)
-           + betaln(a_pi + a_l, b_pi + x) - betaln(a_pi, b_pi))
-    return out if out.ndim else float(out)
+    lg = log_gamma
+    return (lg(a_l + x) - lg(x + 1.0) - lg(a_l)
+            + lg(a_pi + a_l) + lg(b_pi + x) - lg(a_pi + a_l + b_pi + x)
+            - lg(a_pi) - lg(b_pi) + lg(a_pi + b_pi))

@@ -76,8 +76,7 @@ class RandomK:
     k_init sets the starting K (= starting K_plus) of the chain.
     log_prior[K - 1] is the BNB log pmf at K - 1 for K = 1, ..., k_max
     (untruncated, so not normalized over 1..k_max; the K update
-    normalizes). It is built here, once, because it loads scipy.special:
-    that import then happens before a chain starts, never inside it.
+    normalizes). It is built here, once, so no sweep recomputes it.
     """
     a_l: float
     a_pi: float

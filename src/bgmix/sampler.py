@@ -15,8 +15,11 @@ matrix of log-weighted component densities once: built at the end of a
 sweep, it gives the trace log-likelihood and then the next sweep's
 classification, which sees the same state. Functions of the prior alone
 are computed once: a RandomK prior holds its log prior of K over
-1..k_max from construction, as PriorConfig holds B0^-1 and B0^-1 b0,
-and run_chain adds gamma_K over the same range once per chain.
+1..k_max from construction, as PriorConfig holds B0^-1 and B0^-1 b0.
+The K update's terms that depend on K, gamma_K and N alone are built
+once per chain, into read-only tables over K = 1..k_max; the only
+data-dependent terms, the rows log Gamma(n + gamma_K) over the same
+range for a cluster of size n, are kept in a bounded cache.
 
 The four largest work arrays of a sweep are reused from sweep to sweep
 instead of being allocated and freed each time (distributions.scratch):
@@ -32,13 +35,12 @@ terms) and k-means' distances work in place, so fewer temporaries are
 alive at once: memory freed in a sweep can stay below the point where
 the allocator hands it back to the system.
 
-scipy.special, which costs about 0.4 s to import, is loaded only by the
-telescoping sweep's log-gamma terms, and first when a RandomK prior is
-built, so its import never falls inside run_chain; a fixed-K chain never
-loads it.
+Log-gamma comes from the standard library (distributions.log_gamma over
+math.lgamma), so no sweep loads scipy.
 """
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -211,29 +213,62 @@ def step_hyper(state, prior, rng, filled_only):
     return state
 
 
-def _log_partition_given_k(K, N_k, gamma_K):
-    """log p(partition | K, gamma_K) from the Dirichlet-multinomial law.
+def _gamma_K(gamma_spec, k_max):
+    """gamma_K for K = 1..k_max as a float array."""
+    K = np.arange(1, k_max + 1)
+    return np.broadcast_to(gamma_spec.gamma_for(K), K.shape).astype(float)
+
+
+@lru_cache(maxsize=16)
+def _k_terms(gamma_spec, k_max, n):
+    """The partition law's terms that depend on K alone, for K = 1..k_max.
+
+    Returns (log_fact, base, per_cluster): log_fact[j] = log j! for
+    j = 0..k_max, base[K-1] = log K! + log Gamma(K gamma_K)
+    - log Gamma(K gamma_K + n), and per_cluster[K-1] = log gamma_K
+    - log Gamma(1 + gamma_K), the factor each filled cluster adds besides
+    its row. One chain's constants: cached per (gamma_spec, k_max, n) and
+    shared by every caller, so the arrays are read-only.
+    """
+    K = np.arange(1, k_max + 1)
+    gam = _gamma_K(gamma_spec, k_max)
+    log_fact = dist.log_gamma(np.arange(1.0, k_max + 2))
+    base = (log_fact[1:] + dist.log_gamma(K * gam)
+            - dist.log_gamma(K * gam + n))
+    per_cluster = np.log(gam) - dist.log_gamma(1.0 + gam)
+    for table in (log_fact, base, per_cluster):
+        table.flags.writeable = False
+    return log_fact, base, per_cluster
+
+
+@lru_cache(maxsize=1024)
+def _cluster_row(gamma_spec, k_max, size):
+    """log Gamma(size + gamma_K) for K = 1..k_max, read-only."""
+    row = dist.log_gamma(size + _gamma_K(gamma_spec, k_max))
+    row.flags.writeable = False
+    return row
+
+
+def _log_partition_given_k(N_k, gamma_spec, k_max):
+    """log p(partition | K, gamma_K) for K = K+, ..., k_max.
+
+    N_k holds the sizes of the K+ filled clusters. From the
+    Dirichlet-multinomial law,
 
     p = K!/(K-K+)! * gamma^K+ * Gamma(K gamma)/Gamma(K gamma + N)
         * prod_k Gamma(N_k + gamma)/Gamma(1 + gamma)
 
     The gamma^K+ factor matters whenever gamma_K varies with K; without
     it the expression is not a partition probability (at N = 1 it would
-    equal 1/gamma_K instead of 1).
+    equal 1/gamma_K instead of 1). Every term but the cluster rows comes
+    from the per-chain tables of _k_terms.
     """
-    from scipy.special import gammaln
-
-    K = np.asarray(K, dtype=float)
-    gamma_K = np.asarray(gamma_K, dtype=float)
-    N_k = np.asarray(N_k, dtype=float)
     kplus = N_k.size
-    N = N_k.sum()
-    per_cluster = (gammaln(N_k[None, :] + gamma_K[:, None])
-                   - gammaln(1.0 + gamma_K[:, None])).sum(axis=1)
-    return (gammaln(K + 1) - gammaln(K - kplus + 1)
-            + kplus * np.log(gamma_K)
-            + gammaln(K * gamma_K) - gammaln(K * gamma_K + N)
-            + per_cluster)
+    log_fact, base, per_cluster = _k_terms(gamma_spec, k_max,
+                                           int(N_k.sum()))
+    rows = sum(_cluster_row(gamma_spec, k_max, int(m)) for m in N_k)
+    logp = base + kplus * per_cluster + rows          # K = 1..k_max
+    return logp[kplus - 1:] - log_fact[:k_max - kplus + 1]
 
 
 def step_sample_K(state, prior, rng):
@@ -250,14 +285,12 @@ def step_sample_K(state, prior, rng):
     if kp.k_max < kplus:
         raise ValueError(f"k_max = {kp.k_max} is below the current number "
                          f"of clusters {kplus}")
-    Kcand = np.arange(kplus, kp.k_max + 1)
-    gam = np.broadcast_to(prior.gamma_spec.gamma_for(Kcand), Kcand.shape)
     filled = state.N_k[state.N_k > 0]
-    logw = (_log_partition_given_k(Kcand, filled, gam)
+    logw = (_log_partition_given_k(filled, prior.gamma_spec, kp.k_max)
             + kp.log_prior[kplus - 1:])
     logw -= logw.max()
     w = np.exp(logw)
-    state.K = int(Kcand[dist.sample_categorical(w, rng)])
+    state.K = kplus + dist.sample_categorical(w, rng)
     return state
 
 

@@ -5,9 +5,10 @@ draw, one cluster or one pair of partitions at a time.
 """
 
 import numpy as np
+from scipy.special import gammaln
 
 from bgmix import distributions as dist
-from bgmix.clustering import _assign, _seed_plus_plus
+from bgmix.clustering import _assign, _seed_plus_plus, _work_arrays
 
 
 def sample_inv_wishart(params, rng):
@@ -54,6 +55,28 @@ def expected_vi_scores(candidates, weights):
     return scores
 
 
+def log_partition_given_k(K, N_k, gamma_K):
+    """log p(partition | K, gamma_K) for each candidate K, from scipy's gammaln.
+
+    K and gamma_K are arrays of the candidates and their Dirichlet
+    parameters, N_k the sizes of the filled clusters:
+
+    p = K!/(K-K+)! * gamma^K+ * Gamma(K gamma)/Gamma(K gamma + N)
+        * prod_k Gamma(N_k + gamma)/Gamma(1 + gamma)
+    """
+    K = np.asarray(K, dtype=float)
+    gamma_K = np.asarray(gamma_K, dtype=float)
+    N_k = np.asarray(N_k, dtype=float)
+    kplus = N_k.size
+    N = N_k.sum()
+    per_cluster = (gammaln(N_k[None, :] + gamma_K[:, None])
+                   - gammaln(1.0 + gamma_K[:, None])).sum(axis=1)
+    return (gammaln(K + 1) - gammaln(K - kplus + 1)
+            + kplus * np.log(gamma_K)
+            + gammaln(K * gamma_K) - gammaln(K * gamma_K + N)
+            + per_cluster)
+
+
 def lloyd(points, centers, max_iter):
     """Lloyd iterations that update each cluster's center as its own mean.
 
@@ -61,10 +84,11 @@ def lloyd(points, centers, max_iter):
     centers, the labels and the inertia.
     """
     n, k = points.shape[0], centers.shape[0]
+    work = _work_arrays(points, k)
     centers = centers.copy()
     labels = np.full(n, -1)
     for _ in range(max_iter):
-        new_labels, d2own = _assign(points, centers)
+        new_labels, d2own = _assign(work, centers)
         counts = np.bincount(new_labels, minlength=k)
         for j in np.flatnonzero(counts == 0):
             donors = counts[new_labels] >= 2
@@ -81,7 +105,7 @@ def lloyd(points, centers, max_iter):
         labels = new_labels
         for j in np.flatnonzero(counts):
             centers[j] = points[labels == j].mean(axis=0)
-    labels, d2own = _assign(points, centers)
+    labels, d2own = _assign(work, centers)
     return centers, labels, float(d2own.sum())
 
 

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 import reference
-from bgmix.clustering import _assign, _lloyd, kmeans
+from bgmix import clustering
+from bgmix.clustering import _assign, _lloyd, _work_arrays, kmeans
 
 
 def _blobs(rng, centers, n_per, scale=0.1):
@@ -90,6 +91,21 @@ class TestKmeansRobustness:
         np.testing.assert_array_equal(a.labels, b.labels)
         np.testing.assert_array_equal(a.centers, b.centers)
 
+    def test_work_arrays_built_once_per_call(self, monkeypatch):
+        """Every restart and Lloyd step writes into the same work arrays."""
+        built = []
+
+        def counted(points, k):
+            built.append(_work_arrays(points, k))
+            return built[-1]
+
+        monkeypatch.setattr(clustering, "_work_arrays", counted)
+        X = np.random.default_rng(14).standard_normal((80, 2))
+        kmeans(X, 3, np.random.default_rng(15), n_restarts=4)
+        assert len(built) == 1
+        cols, d2, diff = built[0]
+        assert cols.shape == (2, 80) and d2.shape == diff.shape == (3, 80)
+
 
 class TestAssign:
 
@@ -105,7 +121,7 @@ class TestAssign:
         rng = np.random.default_rng(d)
         points = rng.standard_normal((300, d)) * 7.0
         centers = rng.standard_normal((6, d)) * 7.0
-        labels, d2 = _assign(points, centers)
+        labels, d2 = _assign(_work_arrays(points, 6), centers)
         ref_labels, ref_d2 = self._broadcast_reference(points, centers)
         np.testing.assert_array_equal(labels, ref_labels)
         assert d2.tobytes() == ref_d2.tobytes()
@@ -114,7 +130,7 @@ class TestAssign:
         rng = np.random.default_rng(9)
         points = rng.standard_normal((300, 9)) * 7.0
         centers = rng.standard_normal((6, 9)) * 7.0
-        labels, d2 = _assign(points, centers)
+        labels, d2 = _assign(_work_arrays(points, 6), centers)
         ref_labels, ref_d2 = self._broadcast_reference(points, centers)
         np.testing.assert_array_equal(labels, ref_labels)
         np.testing.assert_allclose(d2, ref_d2, rtol=1e-12, atol=0)
@@ -144,8 +160,9 @@ class TestMatchesPerClusterMeans:
         X = rng.standard_normal((200, d))
         # the far center wins no point, so the first step revives it
         start = np.vstack([X[:3], np.full((1, d), 1e3)])
-        assert np.bincount(_assign(X, start)[0], minlength=4)[3] == 0
-        got = _lloyd(X, start, 100)
+        assert np.bincount(_assign(_work_arrays(X, 4), start)[0],
+                           minlength=4)[3] == 0
+        got = _lloyd(X, start, 100, _work_arrays(X, 4))
         self._assert_same(got, reference.lloyd(X, start, 100))
         assert np.unique(got[1]).size == 4
 

@@ -1,10 +1,12 @@
 """Unit tests for the distribution samplers and densities."""
 
+import math
 import threading
 import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.special import betaln, gammaln
 from scipy.stats import multivariate_normal
 
 from bgmix import distributions as dist
@@ -281,7 +283,46 @@ class TestLogMvnormalDensity:
         assert not np.shares_memory(mine, theirs[0])
 
 
+class TestLogGamma:
+
+    def test_factorials(self):
+        """Gamma(n) = (n - 1)! for n = 1..20."""
+        n = np.arange(1, 21)
+        want = np.log([float(math.factorial(m - 1)) for m in n])
+        np.testing.assert_allclose(dist.log_gamma(n), want, rtol=1e-14,
+                                   atol=1e-15)
+
+    def test_half(self):
+        """Gamma(1/2) = sqrt(pi)."""
+        np.testing.assert_allclose(dist.log_gamma(0.5),
+                                   0.5 * math.log(math.pi), rtol=1e-15)
+
+    def test_scalar_gives_float(self):
+        for x in (3, 2.5, np.float64(2.5), np.array(2.5)):
+            out = dist.log_gamma(x)
+            assert type(out) is float
+            assert out == math.lgamma(float(x))
+
+    def test_array_keeps_shape(self):
+        x = np.linspace(0.1, 50.0, 12).reshape(3, 4)
+        out = dist.log_gamma(x)
+        assert out.shape == (3, 4)
+        assert out.dtype == float
+        np.testing.assert_allclose(out, gammaln(x), rtol=1e-13)
+
+
 class TestBnbLogPmf:
+
+    def test_matches_scipy_betaln(self):
+        x = np.arange(0, 4000)
+        for a_l, a_pi, b_pi in ((1.0, 4.0, 3.0), (0.3, 1.5, 12.0)):
+            want = (gammaln(a_l + x) - gammaln(x + 1.0) - gammaln(a_l)
+                    + betaln(a_pi + a_l, b_pi + x) - betaln(a_pi, b_pi))
+            np.testing.assert_allclose(dist.bnb_log_pmf(x, a_l, a_pi, b_pi),
+                                       want, rtol=0, atol=1e-10)
+
+    def test_scalar_gives_float(self):
+        assert type(dist.bnb_log_pmf(2, 1.0, 4.0, 3.0)) is float
 
     def test_mass_at_zero(self):
         """P(X = 0) = B(a_pi + a_l, b_pi) / B(a_pi, b_pi) = 4/7 for (1,4,3)."""

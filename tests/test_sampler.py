@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import reference
 from bgmix import distributions as dist
 from bgmix import sampler as smp
 from bgmix.model import (ChainConfig, Dataset, DynamicGamma, FixedGamma,
@@ -311,24 +312,65 @@ class TestPartitionProbability:
     def test_single_observation_probability_is_one(self):
         """Any partition of one observation has probability exactly 1,
         whatever K and gamma; this pins the gamma^K_plus factor."""
-        for K in (1, 2, 7, 40):
-            for gamma in (0.01, 0.125, 1.0, 3.0):
-                lp = _log_partition_given_k(
-                    np.array([K]), np.array([1]), np.array([gamma]))
-                np.testing.assert_allclose(np.exp(lp[0]), 1.0, rtol=1e-12)
+        for gamma in (0.01, 0.125, 1.0, 3.0):
+            lp = _log_partition_given_k(np.array([1]), FixedGamma(gamma), 40)
+            for K in (1, 2, 7, 40):
+                np.testing.assert_allclose(np.exp(lp[K - 1]), 1.0,
+                                           rtol=1e-12)
 
     def test_sums_to_one_over_set_partitions(self):
         """N = 3: p({123}) + 3 p({12}{3}) + p({1}{2}{3}) = 1."""
         for K in (3, 5, 11):
             for gamma in (0.3, 1.0, 2.5):
-                one = np.exp(_log_partition_given_k(
-                    np.array([K]), np.array([3]), np.array([gamma])))[0]
-                two = np.exp(_log_partition_given_k(
-                    np.array([K]), np.array([2, 1]), np.array([gamma])))[0]
-                three = np.exp(_log_partition_given_k(
-                    np.array([K]), np.array([1, 1, 1]), np.array([gamma])))[0]
-                np.testing.assert_allclose(one + 3 * two + three, 1.0,
-                                           rtol=1e-12)
+                spec = FixedGamma(gamma)
+                # each array starts at K = K+; K is its last candidate
+                one = np.exp(_log_partition_given_k(np.array([3]), spec, K))
+                two = np.exp(_log_partition_given_k(np.array([2, 1]), spec,
+                                                    K))
+                three = np.exp(_log_partition_given_k(np.array([1, 1, 1]),
+                                                      spec, K))
+                np.testing.assert_allclose(one[-1] + 3 * two[-1] + three[-1],
+                                           1.0, rtol=1e-12)
+
+    @pytest.mark.parametrize("gamma_spec", [FixedGamma(0.01), FixedGamma(1.3),
+                                            DynamicGamma(0.5),
+                                            DynamicGamma(4.0)])
+    def test_matches_scipy_reference(self, gamma_spec):
+        """Normalized over K+..k_max, the table-based log weights agree
+        with scipy's gammaln formula to 1e-9 for random partitions of up
+        to N = 4000."""
+        rng = np.random.default_rng(31)
+        for _ in range(40):
+            k_max = int(rng.integers(20, 121))
+            kplus = int(rng.integers(1, 16))
+            N = int(rng.integers(kplus, 4001))
+            N_k = np.bincount(rng.integers(0, kplus, N - kplus),
+                              minlength=kplus) + 1
+            K = np.arange(kplus, k_max + 1)
+            gam = np.broadcast_to(gamma_spec.gamma_for(K), K.shape)
+            got = _log_partition_given_k(N_k, gamma_spec, k_max)
+            want = reference.log_partition_given_k(K, N_k, gam)
+            got -= np.logaddexp.reduce(got)
+            want -= np.logaddexp.reduce(want)
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-9)
+
+    def test_k_terms_built_once_per_chain(self):
+        """The K-only tables are built by the first K update of a chain
+        and read from then on."""
+        data = _two_blob_data(np.random.default_rng(30))
+        prior = build_default_prior(
+            data, gamma_spec=DynamicGamma(0.5),
+            k_prior=RandomK(1.0, 4.0, 3.0, k_max=20, k_init=4))
+        smp._k_terms.cache_clear()
+        run_chain(data, prior, ChainConfig(n_iter=200, burn_in=50, seed=36))
+        assert smp._k_terms.cache_info().misses == 1
+
+    def test_tables_are_read_only(self):
+        tables = smp._k_terms(FixedGamma(1.0), 10, 30)
+        row = smp._cluster_row(FixedGamma(1.0), 10, 7)
+        for table in (*tables, row):
+            with pytest.raises(ValueError):
+                table[0] = 0.0
 
 
 class TestStepSampleK:
