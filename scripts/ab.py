@@ -12,8 +12,9 @@ one of:
 
 sweep    µs per sweep of `run_chain` in fixed-k (K=3), sfm (K=10,
          gamma 0.01) and mfm, 2000 sweeps with burn-in 500, seed 1.
-         Check: SHA-256 of the stored draws (every column and S), so
-         the same check means the same chain. Trace: SHA-256 of the
+         Check: SHA-256 of the draws file `write_draws` makes of the
+         records, and of S, so the same check means the same chain
+         whatever layout the records have in memory. Trace: SHA-256 of the
          trace series, reported apart, because the log-likelihood's
          last bits follow the density arithmetic. Faults: minor page
          faults of the process during `run_chain` (getrusage
@@ -33,6 +34,12 @@ startup  seconds from the process's first statement to `import
          bgmix.cli` done (import), or to the return of `init_from_kmeans`
          in `bgmix fit` in sfm and mfm (the process then exits before
          the first sweep). Check: whether scipy was loaded.
+rss      peak resident memory in MiB (ru_maxrss from os.wait4) of one
+         `bgmix fit` or `bgmix identify` process: 30000 sweeps, burn-in
+         5000, seed 1, in sfm (K=10) and mfm. identify reads the draws
+         of a fit the parent tree runs once before the rounds; both
+         trees write the same bytes. Check: SHA-256 of the CSV files the
+         command writes. wall_s: the command's wall time.
 vi       seconds of one `vi_partition(S, thin_to=500)` call, where S
          holds the assignments of a fixed-k (K=3) chain of 3000 sweeps,
          burn-in 500, seed 1, run once by the parent tree before the
@@ -68,8 +75,9 @@ DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir,
 # scratch directory, variant argument as JSON].
 
 SWEEP = """
-import hashlib, json, resource, sys, time
+import hashlib, json, os, resource, sys, time
 import numpy as np
+from bgmix.artifacts import write_draws
 from bgmix.cli import load_dataset
 from bgmix.model import (ChainConfig, DynamicGamma, FixedGamma, FixedK,
                          RandomK, build_default_prior)
@@ -102,10 +110,12 @@ out = bgmix.sampler.run_chain(data, prior, config)
 elapsed = time.perf_counter() - t0
 faults = minflt() - faults
 draws, trace = hashlib.sha256(), hashlib.sha256()
-rec = out.records
-for col in (rec.iter, rec.K, rec.K_plus, rec.eta, rec.mu, rec.Sigma,
-            rec.N_k, rec.S):
-    draws.update(np.ascontiguousarray(col).tobytes())
+path = os.path.join(sys.argv[2], f"draws-{os.getpid()}.csv")
+write_draws(path, out.records)
+with open(path, "rb") as fh:
+    draws.update(fh.read())
+os.remove(path)
+draws.update(np.ascontiguousarray(out.records.S).tobytes())
 for name in sorted(out.trace):
     trace.update(np.ascontiguousarray(out.trace[name]).tobytes())
 print(json.dumps({"value": elapsed / config.n_iter * 1e6,
@@ -185,6 +195,48 @@ print(json.dumps({"value": elapsed, "check": hashlib.sha256(
     np.ascontiguousarray(part.labels, dtype=np.int64).tobytes()).hexdigest()}))
 """
 
+RSS = """
+import hashlib, json, os, shutil, sys, time
+
+FLAGS = {"sfm": ["--mode", "sfm", "--k", "10"], "mfm": ["--mode", "mfm"]}
+CHAIN = ["--iters", "30000", "--burnin", "5000", "--seed", "1"]
+data, scratch, arg = sys.argv[1], sys.argv[2], json.loads(sys.argv[3])
+
+
+def run(args):
+    t0 = time.perf_counter()
+    pid = os.posix_spawn(
+        sys.executable, [sys.executable, "-m", "bgmix.cli", *args],
+        os.environ,
+        file_actions=[(os.POSIX_SPAWN_OPEN, 1, os.devnull, os.O_WRONLY, 0)])
+    _, status, usage = os.wait4(pid, 0)
+    if os.waitstatus_to_exitcode(status) != 0:
+        sys.exit(f"bgmix {args[0]} failed: wait status {status}")
+    return usage.ru_maxrss / 1024, time.perf_counter() - t0
+
+
+if arg is None:     # the draws every identify run reads, made once
+    for mode, flags in FLAGS.items():
+        run(["fit", data, *flags, *CHAIN, "--out",
+             os.path.join(scratch, "fit-" + mode)])
+    sys.exit(0)
+command, mode = arg
+out = os.path.join(scratch, "out")
+if command == "fit":
+    args = ["fit", data, *FLAGS[mode], *CHAIN]
+else:
+    args = ["identify", os.path.join(scratch, "fit-" + mode, "draws.csv")]
+mib, seconds = run(args + ["--out", out])
+digest = hashlib.sha256()
+for name in sorted(os.listdir(out)):
+    if name.endswith(".csv"):
+        with open(os.path.join(out, name), "rb") as fh:
+            digest.update(fh.read())
+shutil.rmtree(out)
+print(json.dumps({"value": mib, "wall_s": seconds,
+                  "check": digest.hexdigest()}))
+"""
+
 DIABETES = "data/diabetes.csv (N=145, r=3)"
 FAULTS = {"faults": "per sweep", "init_faults": "per chain"}
 
@@ -205,8 +257,8 @@ CASES = {
         "what": "run_chain wall time per sweep, 2000 sweeps, burn-in 500, "
                 "seed 1; faults: minor page faults in run_chain per sweep, "
                 "init_faults: those of its k-means start; "
-                "check: SHA-256 of the draws and S (same check, same "
-                "chain); trace: SHA-256 of the trace series"},
+                "check: SHA-256 of the draws file and S (same check, "
+                "same chain); trace: SHA-256 of the trace series"},
     "sweep-n4000": {
         "child": SWEEP, "unit": "us", "setup": N4000,
         "data": "n4000.csv", "counts": FAULTS,
@@ -215,8 +267,8 @@ CASES = {
         "what": "run_chain wall time per sweep, 150 sweeps, burn-in 50, "
                 "seed 1; faults: minor page faults in run_chain per sweep, "
                 "init_faults: those of its k-means start; "
-                "check: SHA-256 of the draws and S (same check, same "
-                "chain); trace: SHA-256 of the trace series"},
+                "check: SHA-256 of the draws file and S (same check, "
+                "same chain); trace: SHA-256 of the trace series"},
     "startup": {
         "child": STARTUP, "unit": "s", "setup": None,
         "data": None, "data_what": DIABETES, "counts": {},
@@ -229,6 +281,18 @@ CASES = {
         "what": "seconds from the first statement to `import bgmix.cli` "
                 "done (import) or to init_from_kmeans returned in `bgmix "
                 "fit` (fit-*); check: scipy loaded"},
+    "rss": {
+        "child": RSS, "unit": "MiB", "setup": RSS,
+        "data": None, "data_what": DIABETES,
+        "counts": {"wall_s": "s, the bgmix command"},
+        "variants": {"fit-sfm": ["fit", "sfm"], "fit-mfm": ["fit", "mfm"],
+                     "identify-sfm": ["identify", "sfm"],
+                     "identify-mfm": ["identify", "mfm"]},
+        "what": "peak resident memory (ru_maxrss from os.wait4) of one "
+                "bgmix fit or identify process, 30000 sweeps, burn-in 5000, "
+                "seed 1, sfm (K=10) and mfm; identify reads the draws of "
+                "one fit by the parent tree; check: SHA-256 of the CSV files "
+                "the command writes"},
     "vi": {
         "child": VI, "unit": "s", "setup": VI_CHAIN,
         "data": None, "data_what": DIABETES, "counts": {},

@@ -13,7 +13,7 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from .sampler import Draws
+from .sampler import Draws, grow
 
 
 class UnreadableInputError(RuntimeError):
@@ -67,7 +67,9 @@ def parse_draws(path):
         if r < 1:
             raise UnreadableInputError(f"{path}: no mu columns in header")
         il, jl = np.tril_indices(r)
-        sweeps = []
+        lead, end = [], 0
+        columns = (np.empty(0), np.empty((0, r)), np.empty((0, il.size)),
+                   np.empty(0, dtype=int))
         for row in rows:
             K = int(row[1])
             need = 3 + K * (2 + r + il.size)
@@ -75,15 +77,26 @@ def parse_draws(path):
                 raise UnreadableInputError(
                     f"{path}: row iter={row[0]} has {len(row)} fields, "
                     f"needs {need} for K={K}")
+            lead.append((int(row[0]), K, int(row[2])))
+            start, end = end, end + K
+            eta, mu, tri, N_k = columns = grow(columns, end)
             vals = np.array(row[3:need - K], dtype=float)
-            Sigma, tri = np.zeros((K, r, r)), vals[K + K * r:].reshape(K, -1)
-            Sigma[:, il, jl] = Sigma[:, jl, il] = tri
-            sweeps.append((int(row[0]), K, int(row[2]), vals[:K],
-                           vals[K:K + K * r].reshape(K, r), Sigma,
-                           np.array(row[need - K:], dtype=int)))
-    if not sweeps:
+            eta[start:end], N_k[start:end] = vals[:K], row[need - K:]
+            mu[start:end] = vals[K:K + K * r].reshape(K, r)
+            tri[start:end] = vals[K + K * r:].reshape(K, il.size)
+    if not lead:
         raise UnreadableInputError(f"{path}: no draws found")
-    return Draws.from_sweeps(sweeps)
+    iters, K, K_plus = np.array(lead).T
+    N_k, of = N_k[:end], np.repeat(np.arange(K.size), K)    # each slot's row
+    bad = ((K < 1) | (np.bincount(of[N_k < 0], minlength=K.size) > 0)
+           | (np.bincount(of[N_k > 0], minlength=K.size) != K_plus))
+    if bad.any():
+        raise UnreadableInputError(
+            f"{path}: row iter={iters[bad.argmax()]} needs K >= 1, N_k >= 0 "
+            f"and K_plus equal to its count of N_k > 0")
+    Sigma = np.empty((end, r, r))
+    Sigma[:, il, jl] = Sigma[:, jl, il] = tri[:end]
+    return Draws(iters, K, K_plus, eta[:end], mu[:end], Sigma, N_k, None)
 
 
 def parse_assignments(path, draws):
@@ -161,8 +174,9 @@ def _rows(*columns, cells=1 << 14):
 
 
 def write_draws(path, draws):
-    """One row per stored sweep; rows carry their own K, header spans max K."""
-    T, W, r = draws.mu.shape
+    """One row per stored sweep, sliced from the columns at np.cumsum(K);
+    rows carry their own K, the header spans K.max()."""
+    r, W = draws.mu.shape[-1], int(draws.K.max())
     il, jl = np.tril_indices(r)
     header = ["iter", "K", "K_plus"]
     header += [f"eta_{k+1}" for k in range(W)]
@@ -170,14 +184,15 @@ def write_draws(path, draws):
     header += [f"sigma_{k+1}_{i+1}_{j+1}" for k in range(W)
                for i, j in zip(il, jl)]
     header += [f"N_{k+1}" for k in range(W)]
-    tri = (il * r + jl).tolist()      # lower triangle within a flat r x r
-    columns = (draws.iter, draws.K, draws.K_plus, draws.eta,
-               draws.mu.reshape(T, -1), draws.Sigma.reshape(T, W, r * r),
-               draws.N_k)
+    tri = il * r + jl                 # lower triangle within a flat r x r
+    eta, mu = draws.eta.reshape(-1), draws.mu.reshape(-1, r)
+    sig, N_k = draws.Sigma.reshape(-1, r * r), draws.N_k.reshape(-1)
+    ends = np.cumsum(draws.K)
     _write_csv(path, header, (
-        [it, K, kp, *eta[:K], *mu[:K * r],
-         *(s[i] for s in sig[:K] for i in tri), *N_k[:K]]
-        for it, K, kp, eta, mu, sig, N_k in _rows(*columns)))
+        [it, b - a, kp, *eta[a:b].tolist(), *mu[a:b].ravel().tolist(),
+         *sig[a:b, tri].ravel().tolist(), *N_k[a:b].tolist()]
+        for it, kp, a, b in zip(draws.iter.tolist(), draws.K_plus.tolist(),
+                                (ends - draws.K).tolist(), ends.tolist())))
 
 
 def write_assignments(path, draws):

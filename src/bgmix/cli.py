@@ -364,7 +364,7 @@ def cmd_identify(args):
         if kplus < 1:
             raise ConfigError(f"--kplus must be at least 1, not {kplus}")
     filtered = filter_to_kplus(chain, kplus)
-    # only the assignments are read below; free the padded columns
+    # only the assignments are read below; free the component columns
     S_all, chain = chain.records.S, None
     identified = ppr_identify(filtered, np.random.default_rng(args.seed))
     summary = posterior_summary(identified)

@@ -92,21 +92,23 @@ def filter_to_kplus(chain, k_plus):
     to the compacted slots when they were stored.
     """
     draws = chain.records
-    keep = np.flatnonzero(draws.K_plus == k_plus)
+    rows = draws.K_plus == k_plus
+    keep = np.flatnonzero(rows)
     if keep.size == 0:
         raise EmptySelectionError(f"no sweep has {k_plus} filled clusters")
-    filled = draws.N_k[keep] > 0
-    # a stable sort puts the filled slots first, in their relative order
-    slots = (keep[:, None],
-             np.argsort(~filled, axis=1, kind="stable")[:, :k_plus])
+    filled = draws.N_k.reshape(-1) > 0
+    slots = np.repeat(rows, draws.K) & filled     # one flat mask
     S = None
     if draws.S is not None:
-        rank = np.cumsum(filled, axis=1) - 1     # slot -> compacted slot
-        S = np.take_along_axis(rank, draws.S[keep], axis=1)
-    return FilteredDraws(
-        k_plus=k_plus, sweep_indices=keep, eta=draws.eta[slots],
-        mu=draws.mu[slots], Sigma=draws.Sigma[slots], N_k=draws.N_k[slots],
-        S=S)
+        # a slot's rank among the filled slots of its sweep
+        seen, first = np.cumsum(filled), (np.cumsum(draws.K) - draws.K)[keep]
+        S = (seen[first[:, None] + draws.S[keep]]
+             - (seen[first] - filled[first] + 1)[:, None])
+    eta, mu, Sigma, N_k = (
+        col.reshape(slots.size, -1)[slots].reshape(
+            keep.size, k_plus, *col.shape[draws.eta.ndim:])
+        for col in (draws.eta, draws.mu, draws.Sigma, draws.N_k))
+    return FilteredDraws(k_plus, keep, eta, mu, Sigma, N_k, S)
 
 
 def ppr_identify(filtered, rng):

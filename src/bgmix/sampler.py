@@ -37,6 +37,10 @@ the allocator hands it back to the system.
 
 Log-gamma comes from the standard library (distributions.log_gamma over
 math.lgamma), so no sweep loads scipy.
+
+run_chain writes each stored sweep's K component slots into the Draws
+columns after the previous sweep's. They start with room for T * k_init
+slots and double when a sweep does not fit, so fixed K never copies them.
 """
 
 from dataclasses import dataclass, field
@@ -62,33 +66,37 @@ class SamplerError(RuntimeError):
 class Draws:
     """Stored sweeps as columns, one row per sweep.
 
-    Component columns are zero-padded to W, the widest K stored: row t
-    holds its K[t] components in the leading slots. S is None when
-    assignments are not stored.
+    The component columns hold row t's K[t] slots after row t-1's, C =
+    sum(K) in all; row t's end at np.cumsum(K)[t]. With one K in every
+    row they are seen as (T, K, ...), so readers of either take
+    col.reshape(-1, ...). S is None when assignments are not stored.
     """
     iter: np.ndarray       # (T,)
     K: np.ndarray          # (T,)
     K_plus: np.ndarray     # (T,)
-    eta: np.ndarray        # (T, W)
-    mu: np.ndarray         # (T, W, r)
-    Sigma: np.ndarray      # (T, W, r, r)
-    N_k: np.ndarray        # (T, W)
+    eta: np.ndarray        # (C,), or (T, K) when K is constant
+    mu: np.ndarray         # (C, r), or (T, K, r)
+    Sigma: np.ndarray      # (C, r, r), or (T, K, r, r)
+    N_k: np.ndarray        # (C,), or (T, K)
     S: np.ndarray          # (T, N) or None
+
+    def __post_init__(self):
+        if self.eta.ndim == 1 and np.all(self.K == self.K[0]):
+            rows = (self.K.size, int(self.K[0]))
+            self.eta, self.mu, self.Sigma, self.N_k = (
+                col.reshape(rows + col.shape[1:])
+                for col in (self.eta, self.mu, self.Sigma, self.N_k))
 
     def __len__(self):
         return self.iter.size
 
-    @classmethod
-    def from_sweeps(cls, sweeps, S=None):
-        """Pad (iter, K, K_plus, eta, mu, Sigma, N_k) tuples into a table."""
-        lead = np.array([sweep[:3] for sweep in sweeps], dtype=int)
-        T, W, r = len(sweeps), lead[:, 1].max(), sweeps[0][4].shape[1]
-        cols = (np.zeros((T, W)), np.zeros((T, W, r)),
-                np.zeros((T, W, r, r)), np.zeros((T, W), dtype=int))
-        for t, sweep in enumerate(sweeps):
-            for col, value in zip(cols, sweep[3:]):
-                col[t, :len(value)] = value
-        return cls(lead[:, 0], lead[:, 1], lead[:, 2], *cols, S)
+
+def grow(columns, end):
+    """columns, or copies at least twice as long when end slots do not fit."""
+    if end <= len(columns[0]):
+        return columns
+    size = max(end, 2 * len(columns[0]))
+    return [np.resize(col, (size,) + col.shape[1:]) for col in columns]
 
 
 @dataclass
@@ -378,8 +386,11 @@ def run_chain(data, prior, config, rng=None):
 
     state = init_from_kmeans(data, prior, k_init, rng)
     M, burn, thin = config.n_iter, config.burn_in, config.thinning
-    sweeps = []
-    S = (np.empty((len(range(burn, M, thin)), data.n), dtype=int)
+    stored = np.arange(burn, M, thin)
+    slots, r, C = stored.size * k_init, data.r, 0
+    columns = (np.empty(slots), np.empty((slots, r)), np.empty((slots, r, r)),
+               np.empty(slots, dtype=int))
+    S = (np.empty((stored.size, data.n), dtype=int)
          if config.store_assignments else None)
     trace = {"log_lik": np.empty(M), "K": np.empty(M, dtype=int),
              "K_plus": np.empty(M, dtype=int)}
@@ -420,13 +431,17 @@ def run_chain(data, prior, config, rng=None):
             if not telescoping:
                 trace["mu1"][it] = state.mu[:, 0]
             if it >= burn and (it - burn) % thin == 0:
+                start, C = C, C + state.K
+                columns = grow(columns, C)
+                for col, value in zip(columns, (state.eta, state.mu,
+                                                state.Sigma, state.N_k)):
+                    col[start:C] = value
                 if S is not None:
-                    S[len(sweeps)] = state.S
-                sweeps.append((it, state.K, state.K_plus, state.eta.copy(),
-                               state.mu.copy(), state.Sigma.copy(),
-                               state.N_k.copy()))
+                    S[(it - burn) // thin] = state.S
     finally:
         # no work array outlives the chain
         dist.free_scratch()
 
-    return ChainOutput(records=Draws.from_sweeps(sweeps, S), trace=trace)
+    records = Draws(stored, trace["K"][stored], trace["K_plus"][stored],
+                    *(col[:C] for col in columns), S)
+    return ChainOutput(records=records, trace=trace)

@@ -15,7 +15,9 @@ import pytest
 from bgmix import artifacts, cli
 from bgmix.cli import (ConfigError, UnreadableInputError, load_dataset,
                        load_table, main, parse_draws, write_draws)
-from bgmix.sampler import SamplerError
+from bgmix.model import (ChainConfig, DynamicGamma, FixedGamma, FixedK,
+                         RandomK, build_default_prior)
+from bgmix.sampler import SamplerError, run_chain
 
 
 def _write_blobs(path, seed=0):
@@ -167,6 +169,34 @@ class TestFitCommand:
         # the mfm rows carry their own K, so their widths differ
         assert np.unique(records.K).size > 1
 
+    @pytest.mark.parametrize("mode", ["fixed-k", "mfm"])
+    def test_parse_draws_gives_back_the_chain_records(self, blob_csv,
+                                                      tmp_path, mode):
+        data = load_dataset(blob_csv)
+        if mode == "fixed-k":
+            k_prior, gamma_spec = FixedK(2), FixedGamma(1.0)
+        else:
+            k_prior = RandomK(1.0, 4.0, 3.0, k_max=100, k_init=3)
+            gamma_spec = DynamicGamma(0.5)
+        prior = build_default_prior(data, gamma_spec=gamma_spec,
+                                    k_prior=k_prior)
+        rec = run_chain(data, prior, ChainConfig(n_iter=150, burn_in=50,
+                                                 seed=7)).records
+        path = str(tmp_path / "draws.csv")
+        write_draws(path, rec)
+        back = parse_draws(path)
+        il, jl = np.tril_indices(data.r)
+        # the file holds Sigma's lower triangle: an inverse-Wishart draw is
+        # symmetric only to rounding, so the parsed upper one mirrors it
+        pairs = [(back.Sigma[..., il, jl], rec.Sigma[..., il, jl]),
+                 (back.Sigma[..., jl, il], back.Sigma[..., il, jl])]
+        for name in ["iter", "K", "K_plus", "eta", "mu", "N_k"]:
+            pairs.append((getattr(back, name), getattr(rec, name)))
+        for got, want in pairs:
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+        assert (np.unique(rec.K).size > 1) == (mode == "mfm")
+
     def test_draws_row_with_extra_field_exits_2(self, fit_dir, tmp_path,
                                                capsys):
         with open(os.path.join(fit_dir, "draws.csv")) as fh:
@@ -179,6 +209,27 @@ class TestFitCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "needs" in err
+
+    @pytest.mark.parametrize("where, cells", [
+        (slice(2, 3), ["5"]),             # K_plus = K + 3; the fit has K = 2
+        (slice(-2, None), ["0", "0"]),    # every N_k zeroed
+        (slice(-1, None), ["-1"]),        # a negative N_k
+        (slice(1, None), ["0", "0"]),     # K = 0 and no slots
+    ], ids=["kplus-above-k", "zeroed-N", "negative-N", "K-zero"])
+    def test_inconsistent_draws_row_exits_2(self, fit_dir, tmp_path, capsys,
+                                            where, cells):
+        with open(os.path.join(fit_dir, "draws.csv")) as fh:
+            lines = fh.read().splitlines()
+        row = lines[5].split(",")
+        row[where] = cells
+        lines[5] = ",".join(row)
+        bad = tmp_path / "draws.csv"
+        bad.write_text("\n".join(lines) + "\n")
+        rc = main(["identify", str(bad), "--no-vi", "--out", str(tmp_path)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert f"row iter={row[0]} " in err
 
     @pytest.mark.parametrize("label", ["0", "3"])
     def test_assignment_label_outside_k_exits_2(self, fit_dir, tmp_path,

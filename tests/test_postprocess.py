@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from bgmix.clustering import kmeans
-from bgmix.model import (ChainConfig, Dataset, FixedGamma, FixedK,
-                         build_default_prior)
+from bgmix.model import (ChainConfig, Dataset, DynamicGamma, FixedGamma,
+                         FixedK, RandomK, build_default_prior)
 from bgmix.postprocess import (ConfusionResult, EmptySelectionError,
                                FilteredDraws, IdentificationError, Partition,
                                _canonical_rows, _expected_vi, ari,
@@ -31,22 +31,17 @@ def _rec(it, eta, N_k, S=None, mu=None):
 
 
 def _chain(records):
-    """A chain whose Draws table holds the given sweeps, zero-padded."""
-    T, W = len(records), max(rec["K"] for rec in records)
-
-    def column(name, shape=(), dtype=float):
-        col = np.zeros((T, W) + shape, dtype=dtype)
-        for t, rec in enumerate(records):
-            col[t, :rec["K"]] = rec[name]
-        return col
+    """A chain whose Draws table holds the given sweeps, slot after slot."""
+    def column(name):
+        return np.concatenate([rec[name] for rec in records])
 
     have_S = all(rec["S"] is not None for rec in records)
     return ChainOutput(records=Draws(
         iter=np.array([rec["iter"] for rec in records]),
         K=np.array([rec["K"] for rec in records]),
         K_plus=np.array([rec["K_plus"] for rec in records]),
-        eta=column("eta"), mu=column("mu", (2,)),
-        Sigma=column("Sigma", (2, 2)), N_k=column("N_k", dtype=int),
+        eta=column("eta"), mu=column("mu"), Sigma=column("Sigma"),
+        N_k=column("N_k"),
         S=np.array([rec["S"] for rec in records]) if have_S else None))
 
 
@@ -99,31 +94,45 @@ class TestFilterToKplus:
         filt = filter_to_kplus(chain, 2)
         assert filt.S is None
 
-    def test_matches_per_sweep_loop_on_sparse_chain(self):
-        """In a sparse chain empty slots sit anywhere; the column version
-        must equal the per-sweep loop it replaced."""
+    @pytest.mark.parametrize("k_prior, gamma_spec, permute", [
+        (FixedK(6), FixedGamma(0.01), False),
+        (RandomK(1.0, 4.0, 3.0, k_max=20, k_init=6), DynamicGamma(0.5), True),
+    ], ids=["sfm", "mfm"])
+    def test_matches_per_sweep_loop_on_sparse_chain(self, k_prior,
+                                                    gamma_spec, permute):
+        """In a sparse chain empty slots sit anywhere, and in a telescoping
+        one the rows differ in K; the flat gather must equal the per-sweep
+        loop it replaced."""
         rng = np.random.default_rng(5)
         y = np.concatenate([rng.normal(0.0, 1.0, (30, 2)),
                             rng.normal(6.0, 1.0, (30, 2))])
         data = Dataset(y=y, feature_names=["a", "b"])
-        prior = build_default_prior(data, gamma_spec=FixedGamma(0.01),
-                                    k_prior=FixedK(6))
+        prior = build_default_prior(data, gamma_spec=gamma_spec,
+                                    k_prior=k_prior)
         chain = run_chain(data, prior,
-                          ChainConfig(n_iter=150, burn_in=50, seed=3))
+                          ChainConfig(n_iter=150, burn_in=50, seed=3,
+                                      permutation_step=permute))
         d = chain.records
-        filt = filter_to_kplus(chain, 2)
-        expected = [t for t in range(len(d)) if d.K_plus[t] == 2]
+        kplus = int(np.bincount(d.K_plus).argmax())
+        filt = filter_to_kplus(chain, kplus)
+        expected = [t for t in range(len(d)) if d.K_plus[t] == kplus]
         assert len(expected) > 0
+        if isinstance(k_prior, RandomK):
+            assert np.unique(d.K[expected]).size > 1
         np.testing.assert_array_equal(filt.sweep_indices, expected)
+        eta, mu = d.eta.reshape(-1), d.mu.reshape(-1, 2)
+        Sigma, N_k = d.Sigma.reshape(-1, 2, 2), d.N_k.reshape(-1)
+        ends = np.cumsum(d.K)
         for row, t in enumerate(expected):
-            filled = np.flatnonzero(d.N_k[t] > 0)
+            slots = slice(ends[t] - d.K[t], ends[t])
+            filled = np.flatnonzero(N_k[slots] > 0)
             remap = np.full(d.K[t], -1)
-            remap[filled] = np.arange(2)
-            np.testing.assert_array_equal(filt.eta[row], d.eta[t, filled])
-            np.testing.assert_array_equal(filt.mu[row], d.mu[t, filled])
+            remap[filled] = np.arange(kplus)
+            np.testing.assert_array_equal(filt.eta[row], eta[slots][filled])
+            np.testing.assert_array_equal(filt.mu[row], mu[slots][filled])
             np.testing.assert_array_equal(filt.Sigma[row],
-                                          d.Sigma[t, filled])
-            np.testing.assert_array_equal(filt.N_k[row], d.N_k[t, filled])
+                                          Sigma[slots][filled])
+            np.testing.assert_array_equal(filt.N_k[row], N_k[slots][filled])
             np.testing.assert_array_equal(filt.S[row], remap[d.S[t]])
 
 

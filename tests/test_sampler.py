@@ -579,15 +579,35 @@ class TestRunChain:
         assert np.all(kplus <= ks)
         assert len(np.unique(ks)) > 1
         assert "mu1" not in out.trace
-        # columns are as wide as the widest K; slots past a row's K are zero
-        assert out.records.eta.shape[1] == ks.max()
-        assert out.records.N_k.shape[1] == ks.max()
-        for eta, N_k, K, K_plus in zip(out.records.eta, out.records.N_k,
-                                       ks, kplus):
-            assert np.all(eta[K:] == 0)
+        # the component columns hold each row's K slots and no more
+        C, r = ks.sum(), data.r
+        assert out.records.eta.shape == out.records.N_k.shape == (C,)
+        assert out.records.mu.shape == (C, r)
+        assert out.records.Sigma.shape == (C, r, r)
+        ends = np.cumsum(ks)
+        for end, K, K_plus in zip(ends, ks, kplus):
+            N_k = out.records.N_k[end - K:end]
             # filled components are compacted to the leading slots
             assert np.all(N_k[:K_plus] > 0)
             assert np.all(N_k[K_plus:] == 0)
+
+    def test_fixed_k_records_written_in_place(self):
+        """The sweeps are stored straight into the records: at its peak
+        run_chain holds less than one more copy of the component columns
+        than it returns."""
+        data, prior = self._setup()
+        cfg = ChainConfig(n_iter=1000, burn_in=200, seed=42)
+        tracemalloc.start()
+        try:
+            out = run_chain(data, prior, cfg)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        rec = out.records
+        assert rec.eta.shape == (800, 2)
+        columns = sum(col.nbytes for col in (rec.eta, rec.mu, rec.Sigma,
+                                             rec.N_k))
+        assert peak - held < columns
 
     def test_telescoping_recovers_two_groups(self):
         data, prior = self._setup("telescoping")
