@@ -11,10 +11,12 @@ data/diabetes.csv (N=145, r=3) next to this script's checkout. CASE is
 one of:
 
 sweep    µs per sweep of `run_chain` in fixed-k (K=3), sfm (K=10,
-         gamma 0.01) and mfm, 2000 sweeps with burn-in 500, seed 1.
-         Check: SHA-256 of the draws file `write_draws` makes of the
-         records, and of S, so the same check means the same chain
-         whatever layout the records have in memory. Trace: SHA-256 of the
+         gamma 0.01) and mfm, 2000 sweeps with burn-in 500, seed 1,
+         without its k-means start, whose seconds are reported apart
+         (init_s); the bench's sweep_us includes the start. Check:
+         SHA-256 of the draws file `write_draws` makes of the records,
+         and of S, so the same check means the same chain whatever
+         layout the records have in memory. Trace: SHA-256 of the
          trace series, reported apart, because the log-likelihood's
          last bits follow the density arithmetic. Faults: minor page
          faults of the process during `run_chain` (getrusage
@@ -88,12 +90,13 @@ def minflt():
     return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 
 
-init, init_faults = bgmix.sampler.init_from_kmeans, []
+init, init_faults, init_s = bgmix.sampler.init_from_kmeans, [], []
 
 
 def counted_init(*args):
-    before = minflt()
+    before, t0 = minflt(), time.perf_counter()
     state = init(*args)
+    init_s.append(time.perf_counter() - t0)
     init_faults.append(minflt() - before)
     return state
 
@@ -118,7 +121,8 @@ os.remove(path)
 draws.update(np.ascontiguousarray(out.records.S).tobytes())
 for name in sorted(out.trace):
     trace.update(np.ascontiguousarray(out.trace[name]).tobytes())
-print(json.dumps({"value": elapsed / config.n_iter * 1e6,
+print(json.dumps({"value": (elapsed - init_s[0]) / config.n_iter * 1e6,
+                  "init_s": init_s[0],
                   "faults": faults / config.n_iter,
                   "init_faults": init_faults[0],
                   "check": draws.hexdigest(), "trace": trace.hexdigest()}))
@@ -238,7 +242,8 @@ print(json.dumps({"value": mib, "wall_s": seconds,
 """
 
 DIABETES = "data/diabetes.csv (N=145, r=3)"
-FAULTS = {"faults": "per sweep", "init_faults": "per chain"}
+SWEEP_COUNTS = {"init_s": "s, the k-means start", "faults": "per sweep",
+                "init_faults": "per chain"}
 
 # the child, the unit of its time, {variant: argument}, a child run once
 # by the parent tree before the rounds, the data file (None: DATA, else a
@@ -248,25 +253,29 @@ FAULTS = {"faults": "per sweep", "init_faults": "per chain"}
 CASES = {
     "sweep": {
         "child": SWEEP, "unit": "us", "setup": None,
-        "data": None, "data_what": DIABETES, "counts": FAULTS,
+        "data": None, "data_what": DIABETES, "counts": SWEEP_COUNTS,
         "variants": {
             "fixed-k": ["FixedK(3), FixedGamma(1.0)", 2000, 500],
             "sfm": ["FixedK(10), FixedGamma(0.01)", 2000, 500],
             "mfm": ["RandomK(1.0, 4.0, 3.0, k_max=100, k_init=10), "
                     "DynamicGamma(0.5)", 2000, 500]},
-        "what": "run_chain wall time per sweep, 2000 sweeps, burn-in 500, "
-                "seed 1; faults: minor page faults in run_chain per sweep, "
-                "init_faults: those of its k-means start; "
+        "what": "run_chain wall time per sweep without the k-means start, "
+                "2000 sweeps, burn-in 500, seed 1; init_s: seconds of the "
+                "start (init_from_kmeans); faults: minor page faults in "
+                "run_chain per sweep, init_faults: those of its k-means "
+                "start; "
                 "check: SHA-256 of the draws file and S (same check, "
                 "same chain); trace: SHA-256 of the trace series"},
     "sweep-n4000": {
         "child": SWEEP, "unit": "us", "setup": N4000,
-        "data": "n4000.csv", "counts": FAULTS,
+        "data": "n4000.csv", "counts": SWEEP_COUNTS,
         "data_what": "N=4000, r=5, eight groups, numpy seed 4000",
         "variants": {"sfm": ["FixedK(8), FixedGamma(0.01)", 150, 50]},
-        "what": "run_chain wall time per sweep, 150 sweeps, burn-in 50, "
-                "seed 1; faults: minor page faults in run_chain per sweep, "
-                "init_faults: those of its k-means start; "
+        "what": "run_chain wall time per sweep without the k-means start, "
+                "150 sweeps, burn-in 50, seed 1; init_s: seconds of the "
+                "start (init_from_kmeans); faults: minor page faults in "
+                "run_chain per sweep, init_faults: those of its k-means "
+                "start; "
                 "check: SHA-256 of the draws file and S (same check, "
                 "same chain); trace: SHA-256 of the trace series"},
     "startup": {

@@ -20,30 +20,47 @@ class KMeansResult:
     n_nonempty: int
 
 
-def _seed_plus_plus(points, k, rng):
-    """k-means++ seeding: spread initial centers with D^2 weighting."""
-    n = points.shape[0]
-    centers = np.empty((k, points.shape[1]))
-    centers[0] = points[rng.integers(n)]
-    d2 = np.sum((points - centers[0]) ** 2, axis=1)
+def _sq_dist(cols, center):
+    """Squared distance of every point to center, from the (d, n) columns.
+
+    Summed one coordinate at a time, in coordinate order, as _assign
+    sums its distances.
+    """
+    out = np.square(cols[0] - center[0])
+    for j in range(1, cols.shape[0]):
+        out += np.square(cols[j] - center[j])
+    return out
+
+
+def _seed_plus_plus(work, k, rng):
+    """k-means++ seeding: spread initial centers with D^2 weighting.
+
+    work is _work_arrays(points, k); D^2 comes from its (d, n) columns.
+    The points are the columns, so a center is a column read out whole.
+    """
+    cols = work[0]
+    d, n = cols.shape
+    centers = np.empty((k, d))
+    centers[0] = cols[:, rng.integers(n)]
+    d2 = _sq_dist(cols, centers[0])
     for j in range(1, k):
         total = d2.sum()
         if total > 0:
             probs = d2 / total
-            centers[j] = points[rng.choice(n, p=probs)]
+            centers[j] = cols[:, rng.choice(n, p=probs)]
         else:
             # all points coincide with chosen centers
-            centers[j] = points[rng.integers(n)]
-        d2 = np.minimum(d2, np.sum((points - centers[j]) ** 2, axis=1))
+            centers[j] = cols[:, rng.integers(n)]
+        np.minimum(d2, _sq_dist(cols, centers[j]), out=d2)
     return centers
 
 
 def _work_arrays(points, k):
-    """_assign's work: the (d, n) transposed points and two (k, n) arrays.
+    """The (d, n) transposed points and two (k, n) arrays for _assign.
 
-    kmeans builds them once per call; every restart and Lloyd step then
-    writes into the same two arrays instead of allocating and freeing
-    them each time.
+    kmeans builds them once per call; every restart seeds from the
+    columns, and every Lloyd step writes into the same two arrays
+    instead of allocating and freeing them each time.
     """
     cols = np.ascontiguousarray(points.T)
     d2 = np.empty((k, cols.shape[1]))
@@ -54,13 +71,16 @@ def _assign(work, centers):
     """Nearest center of each point and its squared distance.
 
     work is _work_arrays(points, k); its two (k, n) arrays are
-    overwritten. The squared distances are summed one coordinate at a
-    time, in coordinate order, with no (n, k, d) temporary; the (k, n)
-    layout keeps the long axis innermost. For d < 8 that is the order
-    numpy's sum over the last axis uses, so the result is bit-identical
-    to summing the (n, k, d) squares; from d = 8 numpy pairs the terms,
-    and a distance may differ in its last bit (a label only for a point
-    equidistant to one ulp). The returned arrays are new.
+    overwritten. Every pass runs along n, the long axis. The squared
+    distances are summed one coordinate at a time, in coordinate order,
+    with no (n, k, d) temporary. For d < 8 that is the order numpy's sum
+    over the last axis uses, so the result is bit-identical to summing
+    the (n, k, d) squares; from d = 8 numpy pairs the terms, and a
+    distance may differ in its last bit (a label only for a point
+    equidistant to one ulp). The nearest center is then found one row
+    of centers at a time: a center takes a point only when strictly
+    closer than every earlier one, so a tie goes to the lowest index, as
+    with argmin. The returned arrays are new.
     """
     cols, d2, diff = work
     np.subtract(centers[:, 0, None], cols[0], out=d2)
@@ -68,12 +88,17 @@ def _assign(work, centers):
     for j in range(1, cols.shape[0]):
         np.subtract(centers[:, j, None], cols[j], out=diff)
         d2 += np.square(diff, out=diff)
-    labels = np.argmin(d2, axis=0)
-    return labels, d2[labels, np.arange(cols.shape[1])]
+    labels = np.zeros(cols.shape[1], dtype=np.intp)
+    best = d2[0].copy()
+    for j in range(1, d2.shape[0]):
+        labels[d2[j] < best] = j
+        np.minimum(best, d2[j], out=best)
+    return labels, best
 
 
 def _lloyd(points, centers, max_iter, work):
-    (n, d), k = points.shape, centers.shape[0]
+    n, k = points.shape[0], centers.shape[0]
+    cols = work[0]
     centers = centers.copy()
     labels = np.full(n, -1)
     for _ in range(max_iter):
@@ -94,15 +119,15 @@ def _lloyd(points, centers, max_iter, work):
         if np.array_equal(new_labels, labels):
             break
         labels = new_labels
-        # every center is its cluster's mean: one bincount over the cells
-        # label * d + column adds each cell's points in row order, as a
-        # per-cluster mean over axis 0 does, so the centers are the same
-        # bits; at d = 1 numpy pair-sums that mean, and a center may
-        # differ from it in its last bits
-        sums = np.bincount((labels[:, None] * d + np.arange(d)).ravel(),
-                           weights=points.ravel(), minlength=k * d)
+        # every center is its cluster's mean: a bincount per column adds
+        # each cluster's points in row order, as a per-cluster mean over
+        # axis 0 does, so the centers are the same bits; at d = 1 numpy
+        # pair-sums that mean, and a center may differ from it in its
+        # last bits
+        sums = np.array([np.bincount(labels, weights=col, minlength=k)
+                         for col in cols])
         filled = counts > 0
-        centers[filled] = sums.reshape(k, d)[filled] / counts[filled, None]
+        centers[filled] = sums.T[filled] / counts[filled, None]
     labels, d2own = _assign(work, centers)
     return centers, labels, float(d2own.sum())
 
@@ -139,7 +164,7 @@ def kmeans(points, k, rng, max_iter=100, n_restarts=10):
     work = _work_arrays(points, k)
     best = None
     for _ in range(n_restarts):
-        seeded = _seed_plus_plus(points, k, rng)
+        seeded = _seed_plus_plus(work, k, rng)
         result = _lloyd(points, seeded, max_iter, work)
         if best is None or result[2] < best[2]:
             best = result

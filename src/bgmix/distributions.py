@@ -173,10 +173,18 @@ def log_mvnormal_density_batch(Y, mu, Sigma):
     offset of 1e6 and on a Sigma held up by a 1e-8 ridge, where both
     lose about cond(Sigma) * eps.
 
-    The (K, N, r) deviations and their product with the inverse factors
-    are written into the scratch arrays "dev" and "z", which are reused
-    from call to call instead of being allocated and freed each time;
-    neither leaves this function. The returned matrix is always a new
+    Every pass runs along N, the long axis: the deviations are (K, r, N),
+    taken from the columns of Y (a view of Y.T), and L_k^-1 multiplies
+    them from the left. The squares of z are summed over r one row of N
+    at a time, in coordinate order. An einsum over the last axis of the
+    (K, N, r) layout gives the same z to the bit but adds the r squares
+    in another order for some r (numpy pairs them in lanes that depend
+    on its build and the CPU), so the two may differ in their last bits.
+
+    The deviations and z are written into the scratch arrays "dev" and
+    "z", which are reused from call to call instead of being allocated
+    and freed each time; neither leaves this function. The returned
+    matrix is always a new array, the transpose of a C-ordered (K, N)
     array; the constant terms are added to it in place, with no (K, N)
     temporary.
 
@@ -198,12 +206,12 @@ def log_mvnormal_density_batch(Y, mu, Sigma):
         L = np.linalg.cholesky(Sigma)
     except np.linalg.LinAlgError as exc:
         raise ValueError("every Sigma must be positive definite") from exc
-    Linv_T = np.transpose(np.linalg.inv(L), (0, 2, 1))        # (K, r, r)
     K = mu.shape[0]
-    dev = np.subtract(Y[None, :, :], mu[:, None, :],
-                      out=scratch("dev", (K, N, r)))          # (K, N, r)
-    z = np.matmul(dev, Linv_T, out=scratch("z", (K, N, r)))   # (K, N, r)
-    maha = np.einsum("knr,knr->kn", z, z)                     # (K, N)
+    dev = np.subtract(Y.T[None, :, :], mu[:, :, None],
+                      out=scratch("dev", (K, r, N)))          # (K, r, N)
+    z = np.matmul(np.linalg.inv(L), dev,
+                  out=scratch("z", (K, r, N)))                # (K, r, N)
+    maha = np.square(z, out=z).sum(axis=1)                    # (K, N)
     ii = np.arange(r)
     logdet = 2.0 * np.sum(np.log(L[:, ii, ii]), axis=1)       # (K,)
     maha += (r * np.log(2.0 * np.pi) + logdet)[:, None]

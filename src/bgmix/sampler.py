@@ -10,7 +10,8 @@ The type of the prior's k_prior picks the sweep:
   from the prior.
 
 All updates are written against stacked arrays so a sweep costs a fixed
-number of numpy calls regardless of K. A sweep evaluates the (N, K)
+number of numpy calls regardless of N; only step_classify's grows with K,
+by one row addition per component. A sweep evaluates the (N, K)
 matrix of log-weighted component densities once: built at the end of a
 sweep, it gives the trace log-likelihood and then the next sweep's
 classification, which sees the same state. Functions of the prior alone
@@ -21,19 +22,32 @@ once per chain, into read-only tables over K = 1..k_max; the only
 data-dependent terms, the rows log Gamma(n + gamma_K) over the same
 range for a cluster of size n, are kept in a bounded cache.
 
-The four largest work arrays of a sweep are reused from sweep to sweep
+Every pass over the N observations keeps N as the innermost axis, so
+numpy runs a few long loops instead of millions of r- or K-element ones:
+the density works on (K, r, N) deviations, step_component_params on the
+(r, N) columns of y and the (P, N) products of their P = r(r+1)/2
+coordinate pairs, and step_classify on the (K, N) transpose of the
+density matrix, one row of K at a time. Every step gives the same bits
+as with the (N, r) and (N, K) layouts except the density, whose sum
+over r adds its terms in another order (see
+distributions.log_mvnormal_density_batch): its values, and with them
+the trace log-likelihood, may move in their last bits, and a draw only
+where a uniform falls that close to a boundary.
+
+The largest work arrays of a sweep are reused from sweep to sweep
 instead of being allocated and freed each time (distributions.scratch):
-the density's (K, N, r) deviations and their product with the inverse
-Cholesky factors, and step_component_params' (N, r*r) scatter cell
-indices and (N, r, r) outer products. A scratch array never leaves the
-function that fills it; what a step returns or stores in the state,
-like the (N, K) density matrix carried to the next classify, is a new
-array. run_chain frees the buffers when it returns or raises, so none
-outlives the chain. The (N, K) steps (the density's constant terms, the
-weights, classify's probabilities, the trace log-likelihood's sorted
-terms) and k-means' distances work in place, so fewer temporaries are
-alive at once: memory freed in a sweep can stay below the point where
-the allocator hands it back to the system.
+the density's (K, r, N) deviations "dev" and their product with the
+inverse Cholesky factors "z", and step_component_params' (P, N) bincount
+cells "codes", (r, N) columns and deviations "devT" and (P, N) pair
+products "prod". A scratch array never leaves the function that fills
+it; what a step returns or stores in the state, like the (N, K) density
+matrix carried to the next classify, is a new array. run_chain frees the
+buffers when it returns or raises, so none outlives the chain. The
+(N, K) steps (the density's constant terms, the weights, classify's
+probabilities, the trace log-likelihood's sorted terms) and k-means'
+distances work in place, so fewer temporaries are alive at once: memory
+freed in a sweep can stay below the point where the allocator hands it
+back to the system.
 
 Log-gamma comes from the standard library (distributions.log_gamma over
 math.lgamma), so no sweep loads scipy.
@@ -142,21 +156,30 @@ def step_classify(data, state, rng, logp=None):
 
     logp is log_weighted_densities(data, state) when the caller already
     holds it; it is computed here otherwise.
+
+    The work runs along N, on the (K, N) view logp.T: the normalizer is
+    a sum over its rows, the cumulative probabilities are built in place
+    one row addition at a time, and S_i counts the first K - 1 of them
+    below the uniform u_i. That is the index of the first one at or
+    above u_i, capped at K - 1 where rounding leaves the total below
+    u_i, and the same to the bit as a cumsum over each row of logp.
     """
     if logp is None:
         logp = log_weighted_densities(data, state)
-    rowmax = logp.max(axis=1)
-    dead = np.isneginf(rowmax)
+    lt = logp.T
+    colmax = lt.max(axis=0)
+    dead = np.isneginf(colmax)
     if np.any(dead):
         i = int(np.flatnonzero(dead)[0])
         raise NumericalError(f"all component densities underflowed for "
                              f"observation {i}")
-    p = logp - rowmax[:, None]
+    p = np.subtract(lt, colmax, order="C")
     np.exp(p, out=p)
-    p /= p.sum(axis=1, keepdims=True)
+    p /= p.sum(axis=0)
+    for k in range(1, state.K - 1):
+        p[k] += p[k - 1]
     u = rng.random(data.n)
-    state.S = np.minimum((np.cumsum(p, axis=1) < u[:, None]).sum(axis=1),
-                         state.K - 1)
+    state.S = (p[:-1] < u).sum(axis=0)
     state.refresh_counts()
     return state
 
@@ -167,34 +190,78 @@ def step_weights(state, gamma_K, rng):
     return state
 
 
+@lru_cache(maxsize=128)
+def _pair_layout(r, K):
+    """Index tables of step_component_params for r coordinates, K slots.
+
+    Returns (offsets, blocks, sum_cells, scatter_cells). Row p of the
+    (P, N) pair products, P = r(r+1)/2, holds coordinate i times
+    coordinate j for the p-th pair (i, j) of the lower triangle in row
+    order, so row i's pairs j = 0..i fill the rows blocks[i].
+    offsets[p] = K * p turns a slot index into its bincount cell of row
+    p; the first r rows serve the per-coordinate sums too. sum_cells
+    (K, r) and scatter_cells (K, r, r) gather the two bincounts into
+    per-slot order, the pair (i, j) and (j, i) from one cell. One
+    chain's constants: cached per (r, K) and shared by every caller, so
+    the arrays are read-only.
+    """
+    il, jl = np.tril_indices(r)
+    sym = np.empty((r, r), dtype=np.intp)
+    sym[il, jl] = sym[jl, il] = np.arange(il.size)
+    k = np.arange(K)
+    offsets = (K * np.arange(il.size))[:, None]
+    sum_cells = K * np.arange(r) + k[:, None]
+    scatter_cells = K * sym + k[:, None, None]
+    for table in (offsets, sum_cells, scatter_cells):
+        table.flags.writeable = False
+    blocks = tuple(slice(i * (i + 1) // 2, (i + 1) * (i + 2) // 2)
+                   for i in range(r))
+    return offsets, blocks, sum_cells, scatter_cells
+
+
 def step_component_params(data, state, prior, rng):
     """Redraw (mu_k, Sigma_k) for every component slot in the state.
 
     Empty slots reduce to prior-conditional draws: mu_k ~ N(b0, B0) and
     Sigma_k ~ W^-1(c0, C0), since the posterior factors collapse at
     N_k = 0.
+
+    The per-observation work runs along N. The scratch array "devT"
+    holds the (r, N) columns of y, then the deviations y_i - mu_{S_i};
+    "prod" holds the (P, N) products of their P = r(r+1)/2
+    lower-triangle coordinate pairs, and "codes" the bincount cell
+    S_i + K * p of each entry of row p. bincount adds each cell's
+    weights in index order, as np.add.at does, and a product does not
+    depend on the order of its factors, so the sums and the symmetric
+    scatter matrices are the same to the bit as adding up each
+    observation's (r,) row and (r, r) outer product.
     """
-    K, r = state.K, data.r
+    K, r, N = state.K, data.r, data.n
     Nk = state.N_k.astype(float)
     Sig_inv = np.linalg.inv(state.Sigma)
     Bk = np.linalg.inv(prior.B0_inv[None, :, :] + Nk[:, None, None] * Sig_inv)
     Bk = 0.5 * (Bk + np.transpose(Bk, (0, 2, 1)))
-    # bincount adds each bin's weights in index order, as np.add.at does
-    cell = state.S[:, None] * r + np.arange(r)
-    sums = np.bincount(cell.ravel(), weights=data.y.ravel(),
-                       minlength=K * r).reshape(K, r)
+    offsets, blocks, sum_cells, scatter_cells = _pair_layout(r, K)
+    P = offsets.shape[0]
+    codes = np.add(state.S, offsets,
+                   out=dist.scratch("codes", (P, N), np.intp))
+    devT = dist.scratch("devT", (r, N))
+    np.copyto(devT, data.y.T)
+    # a new C-ordered (K, r) array: the einsum below gives other bits on
+    # a strided view
+    sums = np.bincount(codes[:r].ravel(), weights=devT.ravel(),
+                       minlength=r * K).take(sum_cells)
     rhs = prior.B0_inv_b0[None, :] + np.einsum("kij,kj->ki", Sig_inv, sums)
     bk = np.einsum("kij,kj->ki", Bk, rhs)
     state.mu = dist.sample_mvnormal_batch(bk, Bk, rng)
 
-    dev = data.y - state.mu[state.S]
-    cell = np.multiply(state.S[:, None], r * r,
-                       out=dist.scratch("cell", (data.n, r * r), np.intp))
-    cell += np.arange(r * r)
-    outer = np.multiply(dev[:, :, None], dev[:, None, :],
-                        out=dist.scratch("outer", (data.n, r, r)))
-    scatter = np.bincount(cell.ravel(), weights=outer.ravel(),
-                          minlength=K * r * r).reshape(K, r, r)
+    prod = dist.scratch("prod", (P, N))
+    # S is in range; mode="wrap" only spares take a buffered copy
+    devT -= np.take(state.mu.T, state.S, axis=1, out=prod[:r], mode="wrap")
+    for i, block in enumerate(blocks):
+        np.multiply(devT[i], devT[:i + 1], out=prod[block])
+    scatter = np.bincount(codes.ravel(), weights=prod.ravel(),
+                          minlength=P * K).take(scatter_cells)
     Ck = state.C0[None, :, :] + 0.5 * scatter
     state.Sigma = dist.sample_inv_wishart_batch(prior.c0 + Nk / 2.0, Ck, rng)
     return state

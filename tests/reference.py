@@ -8,7 +8,6 @@ import numpy as np
 from scipy.special import gammaln
 
 from bgmix import distributions as dist
-from bgmix.clustering import _assign, _seed_plus_plus, _work_arrays
 
 
 def sample_inv_wishart(params, rng):
@@ -26,6 +25,54 @@ def log_mvnormal_density(y, mu, Sigma):
     dev = np.linalg.solve(L, y - mu)
     logdet = 2.0 * np.sum(np.log(np.diag(L)))
     return -0.5 * (r * np.log(2.0 * np.pi) + logdet + dev @ dev)
+
+
+def log_mvnormal_density_einsum(Y, mu, Sigma):
+    """(N, K) log densities from (K, N, r) deviations, summed by einsum.
+
+    The stacked form the library used before its passes ran along N:
+    z = (y - mu[k]) L_k^-T for every row, and |z|^2 from an einsum over
+    the last axis.
+    """
+    N, r = Y.shape
+    L = np.linalg.cholesky(Sigma)
+    Linv_T = np.transpose(np.linalg.inv(L), (0, 2, 1))
+    z = (Y[None, :, :] - mu[:, None, :]) @ Linv_T
+    maha = np.einsum("knr,knr->kn", z, z)
+    ii = np.arange(r)
+    logdet = 2.0 * np.sum(np.log(L[:, ii, ii]), axis=1)
+    return (-0.5 * (maha + (r * np.log(2.0 * np.pi) + logdet)[:, None])).T
+
+
+def classify_cumsum(logp, u):
+    """Assignments from the (N, K) log weights and one uniform per row.
+
+    Row i is normalized, and S_i is the number of cumulative
+    probabilities below u_i from a cumsum over the row, capped at K - 1.
+    """
+    p = logp - logp.max(axis=1)[:, None]
+    np.exp(p, out=p)
+    p /= p.sum(axis=1, keepdims=True)
+    return np.minimum((np.cumsum(p, axis=1) < u[:, None]).sum(axis=1),
+                      logp.shape[1] - 1)
+
+
+def cluster_sums_and_scatter(y, S, mu, K):
+    """Per-component sums of y and scatter matrices about mu.
+
+    One bincount over the (N, r) cells S_i * r + j, and one over the
+    (N, r * r) cells of every observation's outer product.
+    """
+    N, r = y.shape
+    cell = S[:, None] * r + np.arange(r)
+    sums = np.bincount(cell.ravel(), weights=y.ravel(),
+                       minlength=K * r).reshape(K, r)
+    dev = y - mu[S]
+    cell = S[:, None] * (r * r) + np.arange(r * r)
+    outer = dev[:, :, None] * dev[:, None, :]
+    scatter = np.bincount(cell.ravel(), weights=outer.ravel(),
+                          minlength=K * r * r).reshape(K, r, r)
+    return sums, scatter
 
 
 def variation_of_information(a, b):
@@ -77,6 +124,30 @@ def log_partition_given_k(K, N_k, gamma_K):
             + per_cluster)
 
 
+def seed_plus_plus(points, k, rng):
+    """k-means++ seeding from the (n, d) rows, as bgmix.clustering seeds."""
+    n = points.shape[0]
+    centers = np.empty((k, points.shape[1]))
+    centers[0] = points[rng.integers(n)]
+    d2 = np.sum((points - centers[0]) ** 2, axis=1)
+    for j in range(1, k):
+        total = d2.sum()
+        if total > 0:
+            centers[j] = points[rng.choice(n, p=d2 / total)]
+        else:
+            centers[j] = points[rng.integers(n)]
+        d2 = np.minimum(d2, np.sum((points - centers[j]) ** 2, axis=1))
+    return centers
+
+
+def assign(points, centers):
+    """Nearest center of each point through an (n, k, d) array, and its
+    squared distance; ties go to the lowest index (argmin)."""
+    d2 = np.sum((points[:, None, :] - centers[None, :, :]) ** 2, axis=2)
+    labels = np.argmin(d2, axis=1)
+    return labels, d2[np.arange(points.shape[0]), labels]
+
+
 def lloyd(points, centers, max_iter):
     """Lloyd iterations that update each cluster's center as its own mean.
 
@@ -84,11 +155,10 @@ def lloyd(points, centers, max_iter):
     centers, the labels and the inertia.
     """
     n, k = points.shape[0], centers.shape[0]
-    work = _work_arrays(points, k)
     centers = centers.copy()
     labels = np.full(n, -1)
     for _ in range(max_iter):
-        new_labels, d2own = _assign(work, centers)
+        new_labels, d2own = assign(points, centers)
         counts = np.bincount(new_labels, minlength=k)
         for j in np.flatnonzero(counts == 0):
             donors = counts[new_labels] >= 2
@@ -105,16 +175,16 @@ def lloyd(points, centers, max_iter):
         labels = new_labels
         for j in np.flatnonzero(counts):
             centers[j] = points[labels == j].mean(axis=0)
-    labels, d2own = _assign(work, centers)
+    labels, d2own = assign(points, centers)
     return centers, labels, float(d2own.sum())
 
 
 def kmeans(points, k, rng, max_iter=100, n_restarts=10):
-    """Best-of-restarts k-means over `lloyd`, seeded as bgmix.clustering."""
+    """Best-of-restarts k-means over `seed_plus_plus` and `lloyd`."""
     points = np.asarray(points, dtype=float)
     best = None
     for _ in range(n_restarts):
-        result = lloyd(points, _seed_plus_plus(points, k, rng), max_iter)
+        result = lloyd(points, seed_plus_plus(points, k, rng), max_iter)
         if best is None or result[2] < best[2]:
             best = result
     return best

@@ -109,20 +109,13 @@ class TestKmeansRobustness:
 
 class TestAssign:
 
-    @staticmethod
-    def _broadcast_reference(points, centers):
-        """The assignment as first written, through an (n, k, d) array."""
-        d2 = np.sum((points[:, None, :] - centers[None, :, :]) ** 2, axis=2)
-        labels = np.argmin(d2, axis=1)
-        return labels, d2[np.arange(points.shape[0]), labels]
-
     @pytest.mark.parametrize("d", [1, 3, 5])
     def test_bit_identical_to_broadcast_below_eight_coordinates(self, d):
         rng = np.random.default_rng(d)
         points = rng.standard_normal((300, d)) * 7.0
         centers = rng.standard_normal((6, d)) * 7.0
         labels, d2 = _assign(_work_arrays(points, 6), centers)
-        ref_labels, ref_d2 = self._broadcast_reference(points, centers)
+        ref_labels, ref_d2 = reference.assign(points, centers)
         np.testing.assert_array_equal(labels, ref_labels)
         assert d2.tobytes() == ref_d2.tobytes()
 
@@ -131,9 +124,48 @@ class TestAssign:
         points = rng.standard_normal((300, 9)) * 7.0
         centers = rng.standard_normal((6, 9)) * 7.0
         labels, d2 = _assign(_work_arrays(points, 6), centers)
-        ref_labels, ref_d2 = self._broadcast_reference(points, centers)
+        ref_labels, ref_d2 = reference.assign(points, centers)
         np.testing.assert_array_equal(labels, ref_labels)
         np.testing.assert_allclose(d2, ref_d2, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("k", [1, 2, 5])
+    def test_exact_ties_go_to_the_lowest_index_as_argmin(self, k):
+        """Integer points and repeated centers: many points are exactly
+        as far from two or more centers."""
+        rng = np.random.default_rng(30 + k)
+        points = rng.integers(-3, 4, size=(400, 2)).astype(float)
+        centers = rng.integers(-2, 3, size=(k, 2)).astype(float)
+        if k > 1:
+            centers[-1] = centers[0]
+        work = _work_arrays(points, k)
+        labels, d2 = _assign(work, centers)
+        dist2 = work[1]
+        if k > 1:
+            tied = np.sum(dist2 == dist2.min(axis=0), axis=0) > 1
+            assert tied.sum() > 50
+        np.testing.assert_array_equal(labels, np.argmin(dist2, axis=0))
+        assert labels.dtype == np.argmin(dist2, axis=0).dtype
+        assert d2.tobytes() == dist2.min(axis=0).tobytes()
+
+
+class TestSeedPlusPlus:
+
+    @pytest.mark.parametrize("d", [1, 3, 5])
+    def test_same_centers_as_seeding_from_rows(self, d):
+        X = np.random.default_rng(40 + d).standard_normal((500, d)) * 4.0
+        got = clustering._seed_plus_plus(_work_arrays(X, 6), 6,
+                                         np.random.default_rng(d))
+        want = reference.seed_plus_plus(X, 6, np.random.default_rng(d))
+        assert got.tobytes() == want.tobytes()
+
+    def test_coinciding_points(self):
+        """Once every point sits on a chosen center, D^2 is zero and the
+        next center is drawn uniformly, as from the rows."""
+        X = np.repeat([[1.0, 2.0], [3.0, 5.0]], 20, axis=0)
+        got = clustering._seed_plus_plus(_work_arrays(X, 4), 4,
+                                         np.random.default_rng(7))
+        want = reference.seed_plus_plus(X, 4, np.random.default_rng(7))
+        assert got.tobytes() == want.tobytes()
 
 
 class TestMatchesPerClusterMeans:

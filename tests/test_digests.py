@@ -32,8 +32,8 @@ DIGESTS = {
                      "ebe0fabbb0e95c1ea520a0e6c74be544",
         "assignments.csv": "9ec8d11b579aa6b5b975520de3d75bec"
                            "812da3bc8300a5433f72ea9a755eaac3",
-        "trace.csv": "f5452527fb487992940eafae6b6fd9af"
-                     "61d87e1ff23a7e545c995f173b251ad4",
+        "trace.csv": "f195bb7bef8ffa47157aef19ca6e9edd"
+                     "f17198414abd902c5841d8e5a96ecaf8",
     }, {
         "kplus_distribution.csv": "f15bcdba2dd6be8ba8eec29ab3b6281f"
                                   "7924d445e893fa79d69521bfead5c5ba",
@@ -49,8 +49,8 @@ DIGESTS = {
                      "803aa8391d21aadbde1d75229e657939",
         "assignments.csv": "ed7d7b6128edde2d91a732913b391b0a"
                            "1c28565eec9e287984abcbac232f7e11",
-        "trace.csv": "390df751ba0f4923085db4ab494f302f"
-                     "3f88db46cc21d999f5df70e2b291af77",
+        "trace.csv": "3d296c7ef6d3785d468085684e83783a"
+                     "2515e72902bc3d763ffe8260228c64c3",
     }, {
         "kplus_distribution.csv": "f15bcdba2dd6be8ba8eec29ab3b6281f"
                                   "7924d445e893fa79d69521bfead5c5ba",
@@ -66,8 +66,8 @@ DIGESTS = {
                      "2e05a5fcfd69c9bc204401c2f27fe592",
         "assignments.csv": "66c77d7cd26d21db7fe4319b78d7c772"
                            "0497fc9d9c0c8c65cec11e35588412b2",
-        "trace.csv": "8e2fae29e1cfb6492e7cebf6b5d8d48c"
-                     "f45f4c87570fcfb4771c54e2f0ae85ec",
+        "trace.csv": "030095e2fbb2d760ffeef931f910e998"
+                     "7e9a681ff82166f6b1bef1bdcecffa40",
     }, {
         "kplus_distribution.csv": "748bf61706ed83c561a776d686ac52f6"
                                   "59257aefa0e16800be627939c40bb7cb",
@@ -83,8 +83,8 @@ DIGESTS = {
                      "5e9775d5d6e3ee05e21bae284ec6c172",
         "assignments.csv": "6648ed640e48e0fe379b6035b180e9f4"
                            "594b74b1859b4d15a88c81186f56d0df",
-        "trace.csv": "8a222b9b7322df57feadc1119749e515"
-                     "a20130c94dc162f3a920aadb24f6be0c",
+        "trace.csv": "c48be72057851872bb0cfef462f99fcb"
+                     "e2ef83d9a76e977a80b5651b955401d0",
     }, {
         "kplus_distribution.csv": "731785b726399e84a100b12188bcefd6"
                                   "64cce74be822b5f63f925df191f96e51",

@@ -10,7 +10,8 @@ from scipy.special import betaln, gammaln
 from scipy.stats import multivariate_normal
 
 from bgmix import distributions as dist
-from reference import log_mvnormal_density, sample_inv_wishart
+from reference import (log_mvnormal_density, log_mvnormal_density_einsum,
+                       sample_inv_wishart)
 
 
 class TestWishartParams:
@@ -235,6 +236,18 @@ class TestLogMvnormalDensity:
         batch = dist.log_mvnormal_density_batch(y, mu, Sigma)
         permuted = dist.log_mvnormal_density_batch(y, mu[perm], Sigma[perm])
         assert np.all(permuted == batch[:, perm])
+
+    @pytest.mark.parametrize("N, K, r", [(4000, 8, 5), (150, 12, 3),
+                                         (150, 1, 3), (60, 4, 1),
+                                         (1, 3, 2), (40, 2, 9)])
+    def test_matches_einsum_form(self, N, K, r):
+        """The (K, r, N) layout sums the r squares in another order than
+        the einsum over (K, N, r), so only the last bits may differ."""
+        y, mu, Sigma = self._inputs(np.random.default_rng(N + K + r), N, K, r)
+        batch = dist.log_mvnormal_density_batch(y, mu, Sigma)
+        assert batch.shape == (N, K)
+        np.testing.assert_allclose(
+            batch, log_mvnormal_density_einsum(y, mu, Sigma), rtol=1e-12)
 
     @staticmethod
     def _inputs(rng, N, K, r):

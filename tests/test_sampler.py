@@ -85,6 +85,28 @@ class TestStepClassify:
         step_classify(data, state, np.random.default_rng(8))
         assert np.all(state.S == 0)
 
+    @pytest.mark.parametrize("K", [1, 2, 10, 75])
+    @pytest.mark.parametrize("N", [1, 150, 4000])
+    def test_matches_cumsum_reference(self, N, K):
+        """Given the same uniforms, S equals a cumsum over each row of the
+        (N, K) log weights, laid out as the density returns them; a
+        zero-weight component gives a column of -inf."""
+        rng = np.random.default_rng(N + K)
+        logp = (rng.standard_normal((K, N)) * 4.0).T
+        if K > 1:
+            logp[:, 1] = -np.inf
+        data = Dataset(y=np.zeros((N, 1)), feature_names=["a"])
+        state = MixtureState(K=K, eta=np.full(K, 1.0 / K),
+                             mu=np.zeros((K, 1)), Sigma=np.ones((K, 1, 1)),
+                             C0=np.eye(1), S=np.zeros(N, dtype=int))
+        want = reference.classify_cumsum(logp,
+                                         np.random.default_rng(K).random(N))
+        step_classify(data, state, np.random.default_rng(K), logp)
+        np.testing.assert_array_equal(state.S, want)
+        assert state.S.dtype == want.dtype
+        if K > 1:
+            assert not np.any(state.S == 1)
+
     def test_underflow_names_observation(self):
         y = np.array([[0.0, 0.0], [1e200, 1e200]])
         data = Dataset(y=y, feature_names=["a", "b"])
@@ -212,9 +234,60 @@ class TestStepComponentParams:
         np.testing.assert_array_equal(state.mu, mu)
         np.testing.assert_array_equal(state.Sigma, Sigma)
 
+    @pytest.mark.parametrize("N, K, r, labels", [
+        (4000, 8, 5, None), (90, 4, 3, [0, 1, 3]), (50, 3, 1, None),
+        (40, 1, 2, None), (2, 3, 2, [2])])
+    def test_matches_cell_bincount_reference(self, monkeypatch, N, K, r,
+                                             labels):
+        """The sums and scatter matrices built along N equal, to the bit,
+        one bincount over every observation's (r,) and (r, r) cells.
+
+        The mean draw receives b_k, built from the sums; the covariance
+        draw receives C0 + scatter / 2, which is scatter / 2 exactly
+        with C0 = 0. Both arguments are recorded and compared with those
+        the reference's sums and scatter give."""
+        rng = np.random.default_rng(N + K + r)
+        y = rng.standard_normal((N, r)) * rng.uniform(0.1, 30.0, r) + 5.0
+        data = Dataset(y=y, feature_names=[f"x{j}" for j in range(r)])
+        prior = build_default_prior(data, k_prior=FixedK(K))
+        A = rng.standard_normal((K, r, r))
+        state = MixtureState(
+            K=K, eta=np.full(K, 1.0 / K), mu=rng.standard_normal((K, r)),
+            Sigma=A @ np.transpose(A, (0, 2, 1)) + np.eye(r),
+            C0=np.zeros((r, r)),
+            S=rng.choice(labels if labels else np.arange(K), size=N))
+        Sig_inv, S = np.linalg.inv(state.Sigma), state.S.copy()
+        seen = {}
+        normal = dist.sample_mvnormal_batch
+
+        def record_normal(b, B, rng):
+            seen["b"] = b
+            return normal(b, B, rng)
+
+        def record_inv_wishart(alpha, V, rng):
+            seen["V"] = V
+            return state.Sigma
+
+        monkeypatch.setattr(dist, "sample_mvnormal_batch", record_normal)
+        monkeypatch.setattr(dist, "sample_inv_wishart_batch",
+                            record_inv_wishart)
+        step_component_params(data, state, prior, rng)
+
+        sums, scatter = reference.cluster_sums_and_scatter(data.y, S,
+                                                           state.mu, K)
+        Nk = state.N_k.astype(float)
+        Bk = np.linalg.inv(prior.B0_inv[None, :, :]
+                           + Nk[:, None, None] * Sig_inv)
+        Bk = 0.5 * (Bk + np.transpose(Bk, (0, 2, 1)))
+        rhs = prior.B0_inv_b0[None, :] + np.einsum("kij,kj->ki", Sig_inv,
+                                                    sums)
+        assert (seen["b"].tobytes()
+                == np.einsum("kij,kj->ki", Bk, rhs).tobytes())
+        assert seen["V"].tobytes() == (0.5 * scatter).tobytes()
+
     def test_work_arrays_are_reused(self):
         """After a warm-up call, an update at N = 4000, r = 5 allocates
-        less than one (N, r, r) array of outer products."""
+        less than one (P, N) array of pair products, P = r(r+1)/2."""
         rng = np.random.default_rng(20)
         N, K, r = 4000, 8, 5
         data = Dataset(y=rng.standard_normal((N, r)) * 3,
@@ -232,7 +305,7 @@ class TestStepComponentParams:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < N * r * r * 8
+        assert peak < r * (r + 1) // 2 * N * 8
 
     def test_mean_update_centers_on_posterior_mean(self, monkeypatch):
         """With the normal draw replaced by its mean, mu_k is
@@ -543,7 +616,7 @@ class TestRunChain:
         with pytest.raises(SamplerError):
             run_chain(data, prior, cfg)
         # the density and the component update had filled theirs
-        assert held == [["cell", "dev", "outer", "z"]]
+        assert held == [["codes", "dev", "devT", "prod", "z"]]
         assert not dist._scratch.buffers
 
     def test_store_assignments_off(self):
