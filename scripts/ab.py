@@ -6,17 +6,17 @@ PARENT_SRC and CHANGE_SRC are the ``src`` directories of two checkouts.
 Each run is a fresh Python process with PYTHONPATH set to one tree; it
 reports one time and one check value. Round by round the case's variants
 run in turn, the two trees alternating which goes first, so slow phases
-of a shared machine hit both alike. Every case but sweep-n4000 reads
-data/diabetes.csv (N=145, r=3) next to this script's checkout. CASE is
-one of:
+of a shared machine hit both alike. Every case but sweep-n4000 and the
+n4000 variants of rss reads data/diabetes.csv (N=145, r=3) next to this
+script's checkout. CASE is one of:
 
 sweep    µs per sweep of `run_chain` in fixed-k (K=3), sfm (K=10,
          gamma 0.01) and mfm, 2000 sweeps with burn-in 500, seed 1,
          without its k-means start, whose seconds are reported apart
          (init_s); the bench's sweep_us includes the start. Check:
          SHA-256 of the draws file `write_draws` makes of the records,
-         and of S, so the same check means the same chain whatever
-         layout the records have in memory. Trace: SHA-256 of the
+         and of S as int64, so the same check means the same chain
+         whatever layout and label type the records have in memory. Trace: SHA-256 of the
          trace series, reported apart, because the log-likelihood's
          last bits follow the density arithmetic. Faults: minor page
          faults of the process during `run_chain` (getrusage
@@ -38,10 +38,13 @@ startup  seconds from the process's first statement to `import
          the first sweep). Check: whether scipy was loaded.
 rss      peak resident memory in MiB (ru_maxrss from os.wait4) of one
          `bgmix fit` or `bgmix identify` process: 30000 sweeps, burn-in
-         5000, seed 1, in sfm (K=10) and mfm. identify reads the draws
-         of a fit the parent tree runs once before the rounds; both
-         trees write the same bytes. Check: SHA-256 of the CSV files the
-         command writes. wall_s: the command's wall time.
+         5000, seed 1, in sfm (K=10) and mfm; and (n4000) on the
+         sweep-n4000 data, sfm with K=8 and gamma 0.01, 150 sweeps,
+         burn-in 50, seed 1, identify with --vi-thin 100, the shape of
+         the bench's synth-n4000. identify reads the draws of a fit the
+         parent tree runs once before the rounds; both trees write the
+         same bytes. Check: SHA-256 of the CSV files the command
+         writes. wall_s: the command's wall time.
 vi       seconds of one `vi_partition(S, thin_to=500)` call, where S
          holds the assignments of a fixed-k (K=3) chain of 3000 sweeps,
          burn-in 500, seed 1, run once by the parent tree before the
@@ -118,7 +121,7 @@ write_draws(path, out.records)
 with open(path, "rb") as fh:
     draws.update(fh.read())
 os.remove(path)
-draws.update(np.ascontiguousarray(out.records.S).tobytes())
+draws.update(np.ascontiguousarray(out.records.S, dtype=np.int64).tobytes())
 for name in sorted(out.trace):
     trace.update(np.ascontiguousarray(out.trace[name]).tobytes())
 print(json.dumps({"value": (elapsed - init_s[0]) / config.n_iter * 1e6,
@@ -202,9 +205,15 @@ print(json.dumps({"value": elapsed, "check": hashlib.sha256(
 RSS = """
 import hashlib, json, os, shutil, sys, time
 
-FLAGS = {"sfm": ["--mode", "sfm", "--k", "10"], "mfm": ["--mode", "mfm"]}
-CHAIN = ["--iters", "30000", "--burnin", "5000", "--seed", "1"]
 data, scratch, arg = sys.argv[1], sys.argv[2], json.loads(sys.argv[3])
+CHAIN = ["--iters", "30000", "--burnin", "5000", "--seed", "1"]
+# per data set: its file, the fit's flags and identify's
+RUNS = {"sfm": (data, ["--mode", "sfm", "--k", "10", *CHAIN], []),
+        "mfm": (data, ["--mode", "mfm", *CHAIN], []),
+        "n4000": (os.path.join(scratch, "n4000.csv"),
+                  ["--mode", "sfm", "--k", "8", "--gamma", "0.01", "--iters",
+                   "150", "--burnin", "50", "--seed", "1"],
+                  ["--vi-thin", "100"])}
 
 
 def run(args):
@@ -220,16 +229,18 @@ def run(args):
 
 
 if arg is None:     # the draws every identify run reads, made once
-    for mode, flags in FLAGS.items():
-        run(["fit", data, *flags, *CHAIN, "--out",
-             os.path.join(scratch, "fit-" + mode)])
+    for name, (path, fit_flags, _) in RUNS.items():
+        run(["fit", path, *fit_flags, "--out",
+             os.path.join(scratch, "fit-" + name)])
     sys.exit(0)
-command, mode = arg
+command, which = arg
+path, fit_flags, identify_flags = RUNS[which]
 out = os.path.join(scratch, "out")
 if command == "fit":
-    args = ["fit", data, *FLAGS[mode], *CHAIN]
+    args = ["fit", path, *fit_flags]
 else:
-    args = ["identify", os.path.join(scratch, "fit-" + mode, "draws.csv")]
+    args = ["identify", os.path.join(scratch, "fit-" + which, "draws.csv"),
+            *identify_flags]
 mib, seconds = run(args + ["--out", out])
 digest = hashlib.sha256()
 for name in sorted(os.listdir(out)):
@@ -291,17 +302,22 @@ CASES = {
                 "done (import) or to init_from_kmeans returned in `bgmix "
                 "fit` (fit-*); check: scipy loaded"},
     "rss": {
-        "child": RSS, "unit": "MiB", "setup": RSS,
-        "data": None, "data_what": DIABETES,
+        # the setup writes the n4000 data, then runs the fits
+        "child": RSS, "unit": "MiB", "setup": N4000 + RSS,
+        "data": None, "data_what": DIABETES + "; n4000: N=4000, r=5, "
+        "eight groups, numpy seed 4000",
         "counts": {"wall_s": "s, the bgmix command"},
         "variants": {"fit-sfm": ["fit", "sfm"], "fit-mfm": ["fit", "mfm"],
+                     "fit-n4000": ["fit", "n4000"],
                      "identify-sfm": ["identify", "sfm"],
-                     "identify-mfm": ["identify", "mfm"]},
+                     "identify-mfm": ["identify", "mfm"],
+                     "identify-n4000": ["identify", "n4000"]},
         "what": "peak resident memory (ru_maxrss from os.wait4) of one "
                 "bgmix fit or identify process, 30000 sweeps, burn-in 5000, "
-                "seed 1, sfm (K=10) and mfm; identify reads the draws of "
-                "one fit by the parent tree; check: SHA-256 of the CSV files "
-                "the command writes"},
+                "seed 1, sfm (K=10) and mfm; n4000: sfm (K=8, gamma 0.01), "
+                "150 sweeps, burn-in 50, seed 1, identify --vi-thin 100; "
+                "identify reads the draws of one fit by the parent tree; "
+                "check: SHA-256 of the CSV files the command writes"},
     "vi": {
         "child": VI, "unit": "s", "setup": VI_CHAIN,
         "data": None, "data_what": DIABETES, "counts": {},

@@ -13,7 +13,7 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from .sampler import Draws, grow
+from .sampler import Draws, grow, label_dtype
 
 
 class UnreadableInputError(RuntimeError):
@@ -40,7 +40,7 @@ def _csv_rows(path):
             yield next(rows, None), rows
     except OSError as exc:
         raise UnreadableInputError(f"cannot read {path}: {exc}") from exc
-    except (ValueError, csv.Error) as exc:
+    except (ValueError, OverflowError, csv.Error) as exc:
         raise UnreadableInputError(f"{path}: {exc}") from exc
 
 
@@ -86,7 +86,11 @@ def parse_draws(path):
             tri[start:end] = vals[K + K * r:].reshape(K, il.size)
     if not lead:
         raise UnreadableInputError(f"{path}: no draws found")
-    iters, K, K_plus = np.array(lead).T
+    try:
+        iters, K, K_plus = np.array(lead, dtype=np.int64).T
+    except OverflowError:
+        raise UnreadableInputError(f"{path}: an iter or K_plus value lies "
+                                   f"outside the 64-bit range") from None
     N_k, of = N_k[:end], np.repeat(np.arange(K.size), K)    # each slot's row
     bad = ((K < 1) | (np.bincount(of[N_k < 0], minlength=K.size) > 0)
            | (np.bincount(of[N_k > 0], minlength=K.size) != K_plus))
@@ -100,12 +104,20 @@ def parse_draws(path):
 
 
 def parse_assignments(path, draws):
-    """Fill draws.S from an assignments file, matching on iteration index."""
+    """Fill draws.S from an assignments file, matching on iteration index.
+
+    The labels are read straight into label_dtype(draws.K.max()), so a
+    label too large for that type lies outside 1..K as well.
+    """
     row_of = {it: t for t, it in enumerate(draws.iter.tolist())}
+    outside = f"{path}: a label lies outside 1..K"
     with _csv_rows(path) as (header, rows):
         if header is None or header[0].strip() != "iter":
             raise UnreadableInputError(f"{path}: not an assignments file")
-        S = np.empty((len(draws), len(header) - 1), dtype=int)
+        if len(header) < 2:
+            raise UnreadableInputError(f"{path}: no assignment columns")
+        S = np.empty((len(draws), len(header) - 1),
+                     dtype=label_dtype(int(draws.K.max())))
         seen = np.zeros(len(draws), dtype=bool)
         for lineno, row in enumerate(rows, start=2):
             if len(row) != len(header):
@@ -114,13 +126,16 @@ def parse_assignments(path, draws):
                     f"expected {len(header)}")
             t = row_of.get(int(row[0]))
             if t is not None:
-                S[t] = row[1:]
+                try:
+                    S[t] = row[1:]
+                except OverflowError:
+                    raise UnreadableInputError(outside) from None
                 seen[t] = True
     if not seen.all():
         raise UnreadableInputError(f"{path}: no assignment row for iteration "
                                    f"{draws.iter[~seen][0]}")
     if S.min() < 1 or np.any(S > draws.K[:, None]):
-        raise UnreadableInputError(f"{path}: a label lies outside 1..K")
+        raise UnreadableInputError(outside)
     S -= 1
     draws.S = S
     return draws

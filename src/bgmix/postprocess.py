@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .clustering import kmeans
+from .sampler import label_dtype
 
 
 class EmptySelectionError(ValueError):
@@ -78,6 +79,30 @@ def _as_labels(partition):
     return np.asarray(partition)
 
 
+def _row_blocks(S):
+    """Slices of S's rows whose intp copy is no larger than S.
+
+    An index array is converted to intp before numpy reads it, so a
+    function that indexes with a block of narrow labels, or with codes
+    built from it, needs eight bytes a label for that block alone.
+    """
+    T = S.shape[0]
+    step = max(1, T * S.itemsize // np.dtype(np.intp).itemsize)
+    return [slice(lo, lo + step) for lo in range(0, T, step)]
+
+
+def _relabel(table, S, rows):
+    """table[t, S[rows[t], i]] for every t and i, in S's label type.
+
+    Every entry of table that S's rows reach must lie in that type.
+    """
+    table = table.astype(S.dtype)
+    out = np.empty((rows.size, S.shape[1]), dtype=S.dtype)
+    for block in _row_blocks(out):
+        out[block] = np.take_along_axis(table[block], S[rows[block]], axis=1)
+    return out
+
+
 def kplus_distribution(chain):
     """Relative frequency of the number of filled clusters across records."""
     counts = np.bincount(chain.records.K_plus)
@@ -89,7 +114,7 @@ def filter_to_kplus(chain, k_plus):
     """Keep sweeps with exactly k_plus filled components, dropping empty slots.
 
     Filled components keep their relative order; assignments are remapped
-    to the compacted slots when they were stored.
+    to the compacted slots when they were stored, in their label type.
     """
     draws = chain.records
     rows = draws.K_plus == k_plus
@@ -100,10 +125,14 @@ def filter_to_kplus(chain, k_plus):
     slots = np.repeat(rows, draws.K) & filled     # one flat mask
     S = None
     if draws.S is not None:
-        # a slot's rank among the filled slots of its sweep
-        seen, first = np.cumsum(filled), (np.cumsum(draws.K) - draws.K)[keep]
-        S = (seen[first[:, None] + draws.S[keep]]
-             - (seen[first] - filled[first] + 1)[:, None])
+        # (T, K) table of each slot's rank among the filled slots of its
+        # sweep; a row's slots past its K repeat its last one
+        K = draws.K[keep]
+        first = np.cumsum(draws.K)[keep] - K
+        pos = first[:, None] + np.minimum(np.arange(K.max()), K[:, None] - 1)
+        seen = np.cumsum(filled)
+        table = seen[pos] - (seen[first] - filled[first] + 1)[:, None]
+        S = _relabel(table, draws.S, keep)
     eta, mu, Sigma, N_k = (
         col.reshape(slots.size, -1)[slots].reshape(
             keep.size, k_plus, *col.shape[draws.eta.ndim:])
@@ -152,7 +181,7 @@ def ppr_identify(filtered, rng):
 
     S = None
     if filtered.S is not None:
-        S = np.take_along_axis(perms, filtered.S[kept], axis=1)
+        S = _relabel(perms, filtered.S, kept)
     return IdentifiedDraws(
         k_plus=kp, kept=kept, non_permutation_rate=rate,
         eta=relabel(filtered.eta), mu=relabel(filtered.mu),
@@ -185,9 +214,13 @@ def map_partition(S):
         raise ValueError("need a (T, N) array of assignments")
     kmax = int(S.max()) + 1
     N = S.shape[1]
-    counts = np.bincount((np.arange(N) * kmax + S).ravel(),
-                         minlength=N * kmax).reshape(N, kmax)
-    modal = counts.argmax(axis=1)
+    # cell i * kmax + S_i, widened: it passes the label type's range
+    cells = np.arange(N) * kmax
+    counts = np.zeros(N * kmax, dtype=np.intp)
+    for block in _row_blocks(S):
+        counts += np.bincount(np.add(S[block], cells, dtype=np.intp).ravel(),
+                              minlength=N * kmax)
+    modal = counts.reshape(N, kmax).argmax(axis=1)
     used = np.unique(modal)
     remap = np.zeros(kmax, dtype=int)
     remap[used] = np.arange(1, used.size + 1)
@@ -208,31 +241,47 @@ def coallocation_matrix(S):
 
 
 def _canonical_rows(S):
-    """Relabel each row by order of first appearance so equal partitions match."""
+    """Relabel each row by order of first appearance so equal partitions match.
+
+    Over blocks of rows, np.minimum.at finds each label's first column
+    in a (rows, span) table, and sorting a row of that table ranks its
+    labels; no sort runs over all T * N labels. The ranks come in
+    label_dtype(span).
+    """
     T, N = S.shape
-    lo = S.min()
-    span = int(S.max() - lo) + 1
-    keys = S.astype(np.int64)
-    keys += np.arange(T)[:, None] * span - lo
-    groups, first = np.unique(keys, return_index=True)
-    rank = np.empty_like(first)
-    rank[np.argsort(first)] = np.arange(first.size)
-    # sorted by key or by first occurrence, a row's groups take the same
-    # places, so subtracting the row's first place leaves the rank within it
-    row = groups // span
-    # a lookup table needs less memory than np.unique's return_inverse
-    table = np.empty(T * span, dtype=np.int64)
-    table[groups] = rank - np.searchsorted(row, row)
-    return table[keys]
+    lo = int(S.min())
+    span = int(S.max()) - lo + 1
+    out = np.empty((T, N), dtype=label_dtype(span))
+    blocks = _row_blocks(S)
+    # one column index per label of a block; np.minimum.at takes values
+    # as long as its flat index, since numpy 2.4 misreads values
+    # broadcast against a 2-D index
+    col = np.tile(np.arange(N), blocks[0].stop - blocks[0].start)
+    for block in blocks:
+        labels = S[block]
+        b = labels.shape[0]
+        cell = np.add(labels, np.arange(-lo, b * span - lo, span)[:, None],
+                      dtype=np.intp)
+        first = np.full(b * span, N)
+        np.minimum.at(first, cell.ravel(), col[:b * N])
+        # absent labels (first = N) rank last and are never read
+        order = np.argsort(first.reshape(b, span), axis=1)
+        rank = np.empty((b, span), dtype=out.dtype)
+        np.put_along_axis(rank, order, np.arange(span, dtype=out.dtype),
+                          axis=1)
+        out[block] = rank.ravel()[cell]
+    return out
 
 
 def _expected_vi(labels, weights):
     """Weighted VI distance from each row of canonical labels to the others.
 
-    Row i meets all rows j > i in one bincount: cell a_i + m_i * (b_j +
-    offset of row j) counts the pair (a_i, b_j), so each contingency table
-    is a block of m_i * m_j cells. Rows j are chunked so that no count
-    block exceeds labels.size cells unless one table does.
+    Row i meets all rows j > i in one bincount per chunk: cell a_i +
+    m_i * (b_j + offset of row j) counts the pair (a_i, b_j), so each
+    contingency table is a block of m_i * m_j cells. Rows j are chunked
+    so that neither a chunk's codes nor its counts take more bytes than
+    labels unless one row or table does. Codes are widened from the
+    label type first: m_i * offset leaves it.
     """
     U, n = labels.shape
     p = np.arange(n + 1) / n
@@ -241,20 +290,26 @@ def _expected_vi(labels, weights):
     def entropies(codes, starts):
         return -np.add.reduceat(plogp[np.bincount(codes.ravel())], starts)
 
-    m = labels.max(axis=1) + 1
+    m = labels.max(axis=1).astype(np.int64) + 1
     start = np.concatenate(([0], np.cumsum(m)))
-    flat = labels + start[:-1, None]
-    H = entropies(flat, start[:-1])
+    wide = np.int32 if start[-1] <= np.iinfo(np.int32).max else np.int64
+    offset = start[:-1]
+    flat = np.add(labels, offset[:, None], dtype=wide)
+    rows = max(1, labels.nbytes // (8 * n))
+    cells = max(1, labels.nbytes // 8)
+    H = np.concatenate([
+        entropies(flat[a:a + rows] - start[a], offset[a:a + rows] - start[a])
+        for a in range(0, U, rows)])
     scores = np.zeros(U)
     for i in range(U - 1):
+        shift = labels[i].astype(np.intp)
         j = i + 1
         while j < U:
-            ends = m[i] * (start[j + 1:] - start[j])
-            stop = j + max(1, int(np.searchsorted(ends, labels.size,
-                                                  side="right")))
-            shift = labels[i] - m[i] * start[j]
-            joint = entropies(m[i] * flat[j:stop] + shift,
-                              m[i] * (start[j:stop] - start[j]))
+            ends = m[i] * (start[j + 1:j + 1 + rows] - start[j])
+            stop = j + max(1, int(np.searchsorted(ends, cells, side="right")))
+            codes = np.multiply(flat[j:stop], m[i], dtype=np.intp)
+            codes += shift - m[i] * start[j]
+            joint = entropies(codes, m[i] * (start[j:stop] - start[j]))
             d = 2.0 * joint - H[i] - H[j:stop]
             scores[i] += weights[j:stop] @ d
             scores[j:stop] += weights[i] * d
@@ -282,7 +337,7 @@ def vi_partition(S, thin_to=2000):
                                          return_counts=True)
     order = np.argsort(first_idx, kind="stable")
     uniq, weights = uniq[order], weights[order]
-    best = uniq[int(np.argmin(_expected_vi(uniq, weights)))]
+    best = uniq[int(np.argmin(_expected_vi(uniq, weights)))].astype(int)
     return Partition(labels=best + 1, n_groups=int(best.max()) + 1)
 
 

@@ -55,6 +55,9 @@ math.lgamma), so no sweep loads scipy.
 run_chain writes each stored sweep's K component slots into the Draws
 columns after the previous sweep's. They start with room for T * k_init
 slots and double when a sweep does not fit, so fixed K never copies them.
+The stored assignments take the narrowest label type that holds the
+most components a sweep can have (label_dtype): one byte a label up to
+K = 127, where int64 took eight.
 """
 
 from dataclasses import dataclass, field
@@ -83,7 +86,10 @@ class Draws:
     The component columns hold row t's K[t] slots after row t-1's, C =
     sum(K) in all; row t's end at np.cumsum(K)[t]. With one K in every
     row they are seen as (T, K, ...), so readers of either take
-    col.reshape(-1, ...). S is None when assignments are not stored.
+    col.reshape(-1, ...). S holds the 0-based labels in
+    label_dtype(k) for the most components k a row can have (int8 up
+    to k = 127); a reader widens it before arithmetic that can leave
+    that range. S is None when assignments are not stored.
     """
     iter: np.ndarray       # (T,)
     K: np.ndarray          # (T,)
@@ -92,7 +98,7 @@ class Draws:
     mu: np.ndarray         # (C, r), or (T, K, r)
     Sigma: np.ndarray      # (C, r, r), or (T, K, r, r)
     N_k: np.ndarray        # (C,), or (T, K)
-    S: np.ndarray          # (T, N) or None
+    S: np.ndarray          # (T, N) in a label_dtype, or None
 
     def __post_init__(self):
         if self.eta.ndim == 1 and np.all(self.K == self.K[0]):
@@ -103,6 +109,18 @@ class Draws:
 
     def __len__(self):
         return self.iter.size
+
+
+def label_dtype(k):
+    """The narrowest signed integer type that holds 0..k.
+
+    With k the most components a table's rows can have, it holds their
+    labels 0..k-1 and the 1..k of an assignments file.
+    """
+    for t in (np.int8, np.int16, np.int32):
+        if k <= np.iinfo(t).max:
+            return np.dtype(t)
+    return np.dtype(np.int64)
 
 
 def grow(columns, end):
@@ -450,6 +468,7 @@ def run_chain(data, prior, config, rng=None):
         rng = np.random.default_rng(config.seed)
     telescoping = isinstance(prior.k_prior, RandomK)
     k_init = prior.k_prior.k_init if telescoping else prior.k_prior.K
+    k_most = prior.k_prior.k_max if telescoping else k_init
 
     state = init_from_kmeans(data, prior, k_init, rng)
     M, burn, thin = config.n_iter, config.burn_in, config.thinning
@@ -457,7 +476,7 @@ def run_chain(data, prior, config, rng=None):
     slots, r, C = stored.size * k_init, data.r, 0
     columns = (np.empty(slots), np.empty((slots, r)), np.empty((slots, r, r)),
                np.empty(slots, dtype=int))
-    S = (np.empty((stored.size, data.n), dtype=int)
+    S = (np.empty((stored.size, data.n), dtype=label_dtype(k_most))
          if config.store_assignments else None)
     trace = {"log_lik": np.empty(M), "K": np.empty(M, dtype=int),
              "K_plus": np.empty(M, dtype=int)}

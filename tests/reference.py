@@ -77,8 +77,9 @@ def cluster_sums_and_scatter(y, S, mu, K):
 
 def variation_of_information(a, b):
     """VI distance between two partitions, natural log."""
-    a = np.asarray(a) - np.min(a)
-    b = np.asarray(b) - np.min(b)
+    # widened: a * nb can leave a narrow label type
+    a = np.asarray(a, dtype=np.int64) - np.min(a)
+    b = np.asarray(b, dtype=np.int64) - np.min(b)
     nb = int(b.max()) + 1
     cont = np.bincount(a * nb + b, minlength=(int(a.max()) + 1) * nb)
     p = cont.reshape(-1, nb) / a.size
@@ -88,6 +89,27 @@ def variation_of_information(a, b):
         return -np.sum(q * np.log(q))
 
     return 2.0 * ent(p.ravel()) - ent(p.sum(axis=1)) - ent(p.sum(axis=0))
+
+
+def canonical_rows(S):
+    """Each row relabeled by order of first appearance, as int64.
+
+    One np.unique over the T * N keys row * span + label, flat: a row's
+    groups take the same places sorted by key or by first occurrence, so
+    subtracting the row's first place leaves the rank within it.
+    """
+    T, N = S.shape
+    lo = S.min()
+    span = int(S.max() - lo) + 1
+    keys = S.astype(np.int64)
+    keys += np.arange(T)[:, None] * span - lo
+    groups, first = np.unique(keys, return_index=True)
+    rank = np.empty_like(first)
+    rank[np.argsort(first)] = np.arange(first.size)
+    row = groups // span
+    table = np.empty(T * span, dtype=np.int64)
+    table[groups] = rank - np.searchsorted(row, row)
+    return table[keys]
 
 
 def expected_vi_scores(candidates, weights):

@@ -14,7 +14,8 @@ import pytest
 
 from bgmix import artifacts, cli
 from bgmix.cli import (ConfigError, UnreadableInputError, load_dataset,
-                       load_table, main, parse_draws, write_draws)
+                       load_table, main, parse_draws, write_assignments,
+                       write_draws)
 from bgmix.model import (ChainConfig, DynamicGamma, FixedGamma, FixedK,
                          RandomK, build_default_prior)
 from bgmix.sampler import SamplerError, run_chain
@@ -185,17 +186,22 @@ class TestFitCommand:
         path = str(tmp_path / "draws.csv")
         write_draws(path, rec)
         back = parse_draws(path)
+        assert back.S is None
+        write_assignments(str(tmp_path / "assignments.csv"), rec)
+        artifacts.parse_assignments(str(tmp_path / "assignments.csv"), back)
         il, jl = np.tril_indices(data.r)
         # the file holds Sigma's lower triangle: an inverse-Wishart draw is
         # symmetric only to rounding, so the parsed upper one mirrors it
         pairs = [(back.Sigma[..., il, jl], rec.Sigma[..., il, jl]),
                  (back.Sigma[..., jl, il], back.Sigma[..., il, jl])]
-        for name in ["iter", "K", "K_plus", "eta", "mu", "N_k"]:
+        for name in ["iter", "K", "K_plus", "eta", "mu", "N_k", "S"]:
             pairs.append((getattr(back, name), getattr(rec, name)))
         for got, want in pairs:
             assert got.dtype == want.dtype and got.shape == want.shape
             assert got.tobytes() == want.tobytes()
         assert (np.unique(rec.K).size > 1) == (mode == "mfm")
+        # K = 2 and k_max = 100: one byte a label, in the chain and the file
+        assert rec.S.dtype == np.int8
 
     def test_draws_row_with_extra_field_exits_2(self, fit_dir, tmp_path,
                                                capsys):
@@ -246,6 +252,46 @@ class TestFitCommand:
         assert rc == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("name, col, value, message", [
+        ("assignments", 1, "1" + "0" * 22, "a label lies outside 1..K"),
+        ("assignments", 1, "300", "a label lies outside 1..K"),
+        ("assignments", 1, "-129", "a label lies outside 1..K"),
+        ("assignments", slice(1, None), [], "no assignment columns"),
+        ("draws", 0, "1" + "0" * 22, "an iter or K_plus value lies outside "
+         "the 64-bit range"),
+        ("draws", 2, "1" + "0" * 22, "an iter or K_plus value lies outside "
+         "the 64-bit range"),
+        ("draws", -1, "1" + "0" * 22, "Python int too large"),
+    ], ids=["23-digit-label", "label-300", "label-minus-129",
+            "iter-column-only", "23-digit-iter", "23-digit-K_plus",
+            "23-digit-N_k"])
+    def test_integer_field_out_of_range_exits_2(self, fit_dir, tmp_path,
+                                                capsys, name, col, value,
+                                                message):
+        """The fit has K = 2, so its labels are read as int8: a label that
+        does not fit lies outside 1..K like any other. A column slice is
+        cut from every line, the header too; a column index is set in the
+        first data row."""
+        paths = {}
+        for kind in ("draws", "assignments"):
+            with open(os.path.join(fit_dir, kind + ".csv")) as fh:
+                lines = fh.read().splitlines()
+            if kind == name:
+                for i in (range(len(lines)) if isinstance(col, slice)
+                          else [1]):
+                    cells = lines[i].split(",")
+                    cells[col] = value
+                    lines[i] = ",".join(cells)
+            paths[kind] = str(tmp_path / (kind + ".csv"))
+            with open(paths[kind], "w") as fh:
+                fh.write("\n".join(lines) + "\n")
+        rc = main(["identify", paths["draws"], "--assignments",
+                   paths["assignments"], "--out", str(tmp_path)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {paths[name]}: ")
+        assert err.count("\n") == 1 and message in err
 
     @pytest.mark.parametrize("write, error", [
         (lambda p: artifacts.write_partition(p, np.arange(5000)), OSError),

@@ -1,5 +1,6 @@
 """Unit tests for identification, partition extraction, and scoring."""
 
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -16,7 +17,8 @@ from bgmix.postprocess import (ConfusionResult, EmptySelectionError,
                                map_partition, posterior_summary,
                                ppr_identify, vi_partition)
 from bgmix.sampler import ChainOutput, Draws, run_chain
-from reference import expected_vi_scores, variation_of_information
+from reference import (canonical_rows, expected_vi_scores,
+                       variation_of_information)
 
 
 def _rec(it, eta, N_k, S=None, mu=None):
@@ -374,6 +376,28 @@ class TestViPartition:
                                        [0, 0, 0, 0, 0, 0],
                                        [0, 1, 0, 2, 1, 3]])
 
+    @pytest.mark.parametrize("dtype, lo, hi, T, N", [
+        (np.int8, 0, 8, 40, 300),
+        (np.int8, 0, 128, 30, 500),       # labels up to 127
+        (np.int16, 0, 129, 30, 500),      # and 128
+        (np.int16, 60, 300, 25, 400),     # a nonzero minimum label
+        (np.int64, 3, 12, 50, 200),
+        (np.int8, 5, 9, 1, 50),           # one row
+        (np.int16, 0, 40, 20, 1),         # one column
+        (np.int64, -4, 4, 1, 1),
+    ])
+    def test_canonical_rows_match_flat_unique_reference(self, dtype, lo, hi,
+                                                        T, N):
+        rng = np.random.default_rng(hi * T + N)
+        S = rng.integers(lo, hi, (T, N)).astype(dtype)
+        # the first row meets the smallest labels, and the largest too
+        # where it is long enough
+        S[0, :min(N, hi - lo)] = np.arange(lo, hi)[:N]
+        got = _canonical_rows(S)
+        want = canonical_rows(S)
+        assert np.iinfo(got.dtype).max >= int(S.max()) - int(S.min()) + 1
+        assert got.astype(np.int64).tobytes() == want.tobytes()
+
     @pytest.mark.parametrize("seed", range(6))
     def test_scores_match_pairwise_reference(self, seed):
         """Candidates of unequal group counts, some relabeled duplicates,
@@ -405,6 +429,81 @@ class TestViPartition:
         crossed = np.array([[0, 0, 1, 1], [0, 1, 0, 1]])
         np.testing.assert_allclose(_expected_vi(crossed, np.ones(2)),
                                    2 * np.log(2), rtol=1e-12)
+
+
+class TestNarrowLabels:
+    """Labels of int8 give the outputs of their int64 copy; labels of 64
+    and more make m * start and the cell codes pass 127."""
+
+    def _labels(self, rng, T=30, N=200):
+        # every row a permutation of 70 labels, so the top ones appear
+        S = np.empty((T, N), dtype=np.int8)
+        for t in range(T):
+            S[t] = rng.permutation(70)[rng.integers(0, 70, N)]
+        return S
+
+    def test_partitions(self):
+        S = self._labels(np.random.default_rng(12))
+        assert S.max() >= 64
+        for f in (map_partition, vi_partition):
+            narrow, wide = f(S), f(S.astype(np.int64))
+            np.testing.assert_array_equal(narrow.labels, wide.labels)
+            assert narrow.n_groups == wide.n_groups
+        np.testing.assert_array_equal(coallocation_matrix(S),
+                                      coallocation_matrix(S.astype(int)))
+        canon = _canonical_rows(S)
+        assert canon.max() >= 64
+        # the two split the rows j into other chunks, so the scores add
+        # their terms in another order
+        np.testing.assert_allclose(
+            _expected_vi(canon, np.arange(1.0, 31.0)),
+            _expected_vi(canon.astype(np.int64), np.arange(1.0, 31.0)),
+            rtol=1e-12)
+
+    def test_filter_and_identify(self):
+        """A sweep of 80 slots with 10 empty ones among them, next to one
+        where they come last; the filtered and identified labels keep S's
+        type and equal those of the int64 copy."""
+        rng = np.random.default_rng(13)
+        records, T, N = [], 20, 300
+        for t in range(T):
+            N_k = np.zeros(80, dtype=int)
+            filled = (np.sort(rng.permutation(80)[:70]) if t % 2
+                      else np.arange(70))
+            S = filled[rng.permutation(np.arange(N) % 70)]
+            N_k[filled] = np.bincount(S, minlength=80)[filled]
+            mu = np.zeros((80, 2))
+            mu[filled] = (np.arange(70)[:, None] * 10.0
+                          + 0.01 * rng.standard_normal((70, 2)))
+            records.append(_rec(t, np.full(80, 1 / 80), N_k, S=S, mu=mu))
+        chain = _chain(records)
+        narrow = chain.records.S.astype(np.int8)
+        out = {}
+        for S in (narrow, narrow.astype(np.int64)):
+            chain.records.S = S
+            filt = filter_to_kplus(chain, 70)
+            ident = ppr_identify(filt, np.random.default_rng(14))
+            assert filt.S.dtype == ident.S.dtype == S.dtype
+            out[S.dtype.name] = (filt.S, ident.S, ident.kept)
+        assert out["int8"][0].max() == 69
+        assert out["int8"][2].size > 0
+        for a, b in zip(out["int8"], out["int64"]):
+            np.testing.assert_array_equal(a, b)
+
+    def test_vi_partition_memory_of_a_wide_block(self):
+        """100 sweeps of 4000 int8 labels (synth-n4000's candidate block):
+        the search holds a few copies of the 0.4 MB block at a time,
+        where sorting all T * N int64 keys took 13-14 MB."""
+        rng = np.random.default_rng(15)
+        S = rng.integers(0, 8, (100, 4000)).astype(np.int8)
+        tracemalloc.start()
+        try:
+            part = vi_partition(S)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert part.labels.shape == (4000,)
+        assert peak < 5e6, f"peak {peak / 1e6:.1f} MB"
 
 
 class TestAri:

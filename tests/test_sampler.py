@@ -15,7 +15,7 @@ from bgmix.sampler import (NumericalError, SamplerError, compact_filled,
                            init_from_kmeans, permute_labels_random, run_chain,
                            step_add_empty, step_classify,
                            step_component_params, step_hyper, step_sample_K,
-                           step_weights, _log_partition_given_k)
+                           step_weights, label_dtype, _log_partition_given_k)
 
 
 def _two_blob_data(rng, n=60):
@@ -618,6 +618,37 @@ class TestRunChain:
         # the density and the component update had filled theirs
         assert held == [["codes", "dev", "devT", "prod", "z"]]
         assert not dist._scratch.buffers
+
+    @pytest.mark.parametrize("k, dtype", [
+        (1, np.int8), (127, np.int8), (128, np.int16), (32767, np.int16),
+        (32768, np.int32), (2**31 - 1, np.int32), (2**31, np.int64)])
+    def test_label_dtype_holds_every_label_of_k_components(self, k, dtype):
+        assert label_dtype(k) == dtype
+        # the 0-based labels and the 1-based ones of a file
+        assert np.iinfo(label_dtype(k)).max >= k
+
+    @pytest.mark.parametrize("k_prior, dtype", [
+        (FixedK(2), np.int8),
+        (FixedK(127), np.int8),
+        (FixedK(128), np.int16),
+        (RandomK(1.0, 4.0, 3.0, k_max=127, k_init=4), np.int8),
+        (RandomK(1.0, 4.0, 3.0, k_max=128, k_init=4), np.int16),
+    ], ids=["fixed-2", "fixed-127", "fixed-128", "kmax-127", "kmax-128"])
+    def test_assignments_stored_in_the_narrowest_label_type(self, k_prior,
+                                                            dtype):
+        """K for a FixedK prior and k_max for a RandomK one pick the type,
+        so a K <= 127 chain stores one byte a label."""
+        data = _two_blob_data(np.random.default_rng(30), n=40)
+        prior = build_default_prior(data, gamma_spec=DynamicGamma(0.5),
+                                    k_prior=k_prior)
+        out = run_chain(data, prior, ChainConfig(n_iter=12, burn_in=2,
+                                                 seed=38))
+        S = out.records.S
+        assert S.dtype == dtype
+        assert S.shape == (10, 40)
+        if dtype == np.int8:
+            assert S.nbytes == 10 * 40
+        assert 0 <= S.min() and S.max() < out.records.K.max()
 
     def test_store_assignments_off(self):
         data, prior = self._setup()
