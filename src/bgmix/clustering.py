@@ -11,6 +11,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# Lloyd steps per restart at most; a restart stops earlier once its
+# assignments stop changing
+MAX_ITER = 100
+# independent seedings; the lowest-inertia run wins, ties going to the
+# earliest
+N_RESTARTS = 10
+
 
 @dataclass
 class KMeansResult:
@@ -96,12 +103,12 @@ def _assign(work, centers):
     return labels, best
 
 
-def _lloyd(points, centers, max_iter, work):
+def _lloyd(points, centers, work):
     n, k = points.shape[0], centers.shape[0]
     cols = work[0]
     centers = centers.copy()
     labels = np.full(n, -1)
-    for _ in range(max_iter):
+    for _ in range(MAX_ITER):
         new_labels, d2own = _assign(work, centers)
         # revive empty clusters from the point farthest from its own center,
         # donating only from clusters that keep at least one member
@@ -132,8 +139,8 @@ def _lloyd(points, centers, max_iter, work):
     return centers, labels, float(d2own.sum())
 
 
-def kmeans(points, k, rng, max_iter=100, n_restarts=10):
-    """Best-of-restarts k-means.
+def kmeans(points, k, rng):
+    """Best-of-N_RESTARTS k-means, each restart at most MAX_ITER Lloyd steps.
 
     Parameters
     ----------
@@ -142,12 +149,6 @@ def kmeans(points, k, rng, max_iter=100, n_restarts=10):
         Number of clusters; when k > n only n clusters can be nonempty.
     rng : numpy Generator
         Drives seeding; the result is deterministic given its state.
-    max_iter : int
-        Lloyd iteration cap per restart; convergence is reached earlier
-        when assignments stop changing.
-    n_restarts : int
-        Independent seedings; the minimum-inertia run wins, ties going to
-        the earliest restart.
 
     Returns
     -------
@@ -163,11 +164,12 @@ def kmeans(points, k, rng, max_iter=100, n_restarts=10):
 
     work = _work_arrays(points, k)
     best = None
-    for _ in range(n_restarts):
+    for _ in range(N_RESTARTS):
         seeded = _seed_plus_plus(work, k, rng)
-        result = _lloyd(points, seeded, max_iter, work)
+        result = _lloyd(points, seeded, work)
         if best is None or result[2] < best[2]:
             best = result
     centers, labels, inertia = best
     return KMeansResult(centers=centers, labels=labels, inertia=inertia,
-                        n_nonempty=int(np.unique(labels).size))
+                        n_nonempty=int(np.count_nonzero(
+                            np.bincount(labels, minlength=k))))

@@ -48,37 +48,6 @@ def free_scratch():
     _scratch.buffers.clear()
 
 
-class WishartParams:
-    """Parameter pair (alpha, V) for the W(alpha, V) convention above.
-
-    Parameters
-    ----------
-    alpha : float
-        Must exceed (r - 1)/2 so the normalizer is finite.
-    V : ndarray, shape (r, r)
-        Symmetric positive definite.
-    """
-
-    def __init__(self, alpha, V):
-        V = np.asarray(V, dtype=float)
-        if V.ndim != 2 or V.shape[0] != V.shape[1]:
-            raise ValueError("V must be a square matrix")
-        if not np.all(np.abs(V - V.T) < 1e-10):
-            raise ValueError("V must be symmetric within 1e-10")
-        # symmetrize exactly so the Cholesky factor is well defined
-        V = 0.5 * (V + V.T)
-        try:
-            np.linalg.cholesky(V)
-        except np.linalg.LinAlgError as exc:
-            raise ValueError("V must be positive definite") from exc
-        r = V.shape[0]
-        if not alpha > (r - 1) / 2:
-            raise ValueError(f"alpha must exceed (r-1)/2 = {(r - 1) / 2}")
-        self.alpha = float(alpha)
-        self.V = V
-        self.r = r
-
-
 def sample_dirichlet(e, rng):
     """Draw a weight vector from Dirichlet(e_1, ..., e_K)."""
     e = np.asarray(e, dtype=float)
@@ -129,6 +98,12 @@ def sample_wishart_batch(alpha, V, rng):
     alpha is (m,), V is (m, r, r). Degrees of freedom 2*alpha need not
     be integer: the diagonal uses chi-square draws with df = 2*alpha - i
     for row i, the strict lower triangle standard normals.
+
+    Raises ValueError when an alpha[k] is at most (r-1)/2, where the
+    normalizer is infinite, and np.linalg.LinAlgError when a V[k] is not
+    positive definite. V[k] is used as given: its inverse is symmetrized,
+    so a V[k] that is symmetric only to rounding is accepted whatever
+    its scale.
     """
     alpha = np.asarray(alpha, dtype=float)
     V = np.asarray(V, dtype=float)
@@ -147,12 +122,6 @@ def sample_wishart_batch(alpha, V, rng):
         A[:, il, jl] = rng.standard_normal((m, il.size))
     LA = L @ A
     return LA @ np.transpose(LA, (0, 2, 1))
-
-
-def sample_wishart(params, rng):
-    """Draw one matrix from W(alpha, V) in the convention of this module."""
-    return sample_wishart_batch(np.array([params.alpha]), params.V[None],
-                                rng)[0]
 
 
 def sample_inv_wishart_batch(alpha, V, rng):

@@ -198,6 +198,21 @@ class ChainConfig:
 # prior construction
 
 
+def _column_median(y):
+    """The median of each column of y, the same bits as np.median(y, axis=0).
+
+    The middle row of the sorted columns, or the mean (a + b) / 2 of the
+    middle pair when N is even. Computed here because np.median imports
+    numpy.ma on its first call, which costs a process that never needs
+    it several milliseconds.
+    """
+    s = np.sort(y, axis=0)
+    mid = s.shape[0] // 2
+    if s.shape[0] % 2:
+        return s[mid]
+    return (s[mid - 1] + s[mid]) / 2
+
+
 def build_default_prior(data, c=2.5, phi=0.75, gamma_spec=None, k_prior=None):
     """Assemble the data-driven hierarchical prior described above.
 
@@ -209,7 +224,7 @@ def build_default_prior(data, c=2.5, phi=0.75, gamma_spec=None, k_prior=None):
     if data.n < 2:
         raise ValueError("prior construction needs at least two observations")
     r = data.r
-    b0 = np.median(y, axis=0)
+    b0 = _column_median(y)
     ranges = y.max(axis=0) - y.min(axis=0)
     if np.any(ranges <= 0):
         bad = [data.feature_names[j] for j in np.flatnonzero(ranges <= 0)]
@@ -254,7 +269,10 @@ def mixture_log_likelihood(data, state, logm=None):
     rowmax = logm.max(axis=1)
     if np.any(np.isneginf(rowmax)):
         return float("-inf")
-    terms = logm - rowmax[:, None]
+    # the scratch array "terms" takes logm's layout, the transpose of a
+    # C-ordered (K, N) array, so the sum over K adds in the same order
+    terms = np.subtract(logm, rowmax[:, None],
+                        out=dist.scratch("terms", logm.shape[::-1]).T)
     terms.sort(axis=1)
     np.exp(terms, out=terms)
     return float(np.sum(np.log(terms.sum(axis=1)) + rowmax))
@@ -288,7 +306,8 @@ def generate_synthetic(prior, N, rng):
     r = prior.b0.shape[0]
     gamma_K = prior.gamma_spec.gamma_for(K)
     eta = dist.sample_dirichlet(np.full(K, gamma_K), rng)
-    C0 = dist.sample_wishart(dist.WishartParams(prior.g0, prior.G0), rng)
+    C0 = dist.sample_wishart_batch(np.array([prior.g0]), prior.G0[None],
+                                   rng)[0]
     Sigma = dist.sample_inv_wishart_batch(
         np.full(K, prior.c0), np.broadcast_to(C0, (K, r, r)).copy(), rng)
     mu = dist.sample_mvnormal_batch(

@@ -221,7 +221,7 @@ def map_partition(S):
         counts += np.bincount(np.add(S[block], cells, dtype=np.intp).ravel(),
                               minlength=N * kmax)
     modal = counts.reshape(N, kmax).argmax(axis=1)
-    used = np.unique(modal)
+    used = np.flatnonzero(np.bincount(modal, minlength=kmax))
     remap = np.zeros(kmax, dtype=int)
     remap[used] = np.arange(1, used.size + 1)
     return Partition(labels=remap[modal], n_groups=int(used.size))

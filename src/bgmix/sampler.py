@@ -37,17 +37,20 @@ where a uniform falls that close to a boundary.
 The largest work arrays of a sweep are reused from sweep to sweep
 instead of being allocated and freed each time (distributions.scratch):
 the density's (K, r, N) deviations "dev" and their product with the
-inverse Cholesky factors "z", and step_component_params' (P, N) bincount
+inverse Cholesky factors "z", step_component_params' (P, N) bincount
 cells "codes", (r, N) columns and deviations "devT" and (P, N) pair
-products "prod". A scratch array never leaves the function that fills
-it; what a step returns or stores in the state, like the (N, K) density
-matrix carried to the next classify, is a new array. run_chain frees the
-buffers when it returns or raises, so none outlives the chain. The
-(N, K) steps (the density's constant terms, the weights, classify's
-probabilities, the trace log-likelihood's sorted terms) and k-means'
-distances work in place, so fewer temporaries are alive at once: memory
-freed in a sweep can stay below the point where the allocator hands it
-back to the system.
+products "prod", and the trace log-likelihood's (N, K) terms "terms"
+(a fresh one faulted in anew each sweep whenever glibc's mmap threshold,
+set by what the process freed before, sent it to its own mapping). A
+scratch array never leaves the function that fills it; what a step
+returns or stores in the state, like the (N, K) density matrix carried
+to the next classify, is a new array. run_chain frees the buffers when
+it returns or raises, so none outlives the chain. The (N, K) steps (the
+density's constant terms, the weights, classify's probabilities, the
+trace log-likelihood's sorted terms) and k-means' distances work in
+place, so fewer temporaries are alive at once: memory freed in a sweep
+can stay below the point where the allocator hands it back to the
+system.
 
 Log-gamma comes from the standard library (distributions.log_gamma over
 math.lgamma), so no sweep loads scipy.
@@ -301,8 +304,10 @@ def step_hyper(state, prior, rng, filled_only):
         Sigmas = state.Sigma
     kprime = Sigmas.shape[0]
     rate = prior.G0 + np.linalg.inv(Sigmas).sum(axis=0)
-    params = dist.WishartParams(prior.g0 + kprime * prior.c0, rate)
-    state.C0 = dist.sample_wishart(params, rng)
+    # symmetric to rounding by construction, and exactly from here on
+    rate = 0.5 * (rate + rate.T)
+    alpha = np.array([prior.g0 + kprime * prior.c0])
+    state.C0 = dist.sample_wishart_batch(alpha, rate[None], rng)[0]
     return state
 
 
@@ -443,7 +448,7 @@ def permute_labels_random(state, rng):
 # chain driver
 
 
-def run_chain(data, prior, config, rng=None):
+def run_chain(data, prior, config):
     """Run one MCMC chain and return its stored records plus trace series.
 
     Parameters
@@ -453,9 +458,7 @@ def run_chain(data, prior, config, rng=None):
         Its k_prior picks the sweep: the telescoping sweep for RandomK,
         the fixed-K sweep for FixedK.
     config : ChainConfig
-    rng : numpy Generator, optional
-        Defaults to default_rng(config.seed); pass one only to continue
-        an existing stream.
+        Its seed starts the chain's own Generator, default_rng(seed).
 
     Returns
     -------
@@ -464,8 +467,7 @@ def run_chain(data, prior, config, rng=None):
         the trace dict carries per-iteration series for every sweep
         including burn-in.
     """
-    if rng is None:
-        rng = np.random.default_rng(config.seed)
+    rng = np.random.default_rng(config.seed)
     telescoping = isinstance(prior.k_prior, RandomK)
     k_init = prior.k_prior.k_init if telescoping else prior.k_prior.K
     k_most = prior.k_prior.k_max if telescoping else k_init

@@ -10,9 +10,15 @@ from scipy.special import gammaln
 from bgmix import distributions as dist
 
 
-def sample_inv_wishart(params, rng):
+def sample_wishart(alpha, V, rng):
+    """Draw one matrix from W(alpha, V) through the stacked sampler."""
+    V = np.asarray(V, dtype=float)
+    return dist.sample_wishart_batch(np.array([alpha]), V[None], rng)[0]
+
+
+def sample_inv_wishart(alpha, V, rng):
     """Draw one matrix from W^-1(alpha, V): the inverse of a W(alpha, V) draw."""
-    return np.linalg.inv(dist.sample_wishart(params, rng))
+    return np.linalg.inv(sample_wishart(alpha, V, rng))
 
 
 def log_mvnormal_density(y, mu, Sigma):

@@ -21,6 +21,10 @@ from bgmix.model import (ChainConfig, DynamicGamma, FixedGamma, FixedK,
 from bgmix.sampler import SamplerError, run_chain
 
 
+DIABETES_PATH = os.path.join(os.path.dirname(__file__), os.pardir, "data",
+                             "diabetes.csv")
+
+
 def _write_blobs(path, seed=0):
     rng = np.random.default_rng(seed)
     a = rng.standard_normal((15, 2))
@@ -550,6 +554,24 @@ class TestFitCommand:
         recs = parse_draws(str(tmp_path / "mfm" / "draws.csv"))
         assert len(recs) == 40
 
+    def test_fit_runs_on_small_unit_data(self, tmp_path, capsys):
+        """The diabetes data in units 1e4 times larger: the C0 update's
+        rate, a sum of inverse covariances, grows by 1e8, and its
+        rounding asymmetry with it, past an absolute 1e-10."""
+        header, body = load_table(DIABETES_PATH)
+        path = tmp_path / "diabetes_e-4.csv"
+        with open(path, "w") as fh:
+            fh.write(",".join(header) + "\n")
+            for row in body:
+                scaled = [repr(float(v) * 1e-4) for v in row[:3]]
+                fh.write(",".join(scaled + row[3:]) + "\n")
+        rc = main(["fit", str(path), "--mode", "sfm", "--iters", "50",
+                   "--burnin", "10", "--seed", "1",
+                   "--out", str(tmp_path / "fit")])
+        assert rc == 0, capsys.readouterr().err
+        recs = parse_draws(str(tmp_path / "fit" / "draws.csv"))
+        assert len(recs) == 40
+
 
 class TestIdentifyCommand:
 
@@ -772,7 +794,7 @@ seen, codes = {}, {}
 def note(stage, code=0):
     codes[stage] = code
     seen[stage] = {name: name in sys.modules for name in
-                   ("scipy", "concurrent.futures.process")}
+                   ("scipy", "numpy.ma", "concurrent.futures.process")}
 
 note("import")
 note("fit sfm", cli.main(["fit", blobs, "--mode", "sfm", "--k", "3",
@@ -795,7 +817,7 @@ print(json.dumps({"seen": seen, "codes": codes}))
 """
 
 
-def test_no_stage_loads_scipy(blob_csv, fit_dir, tmp_path):
+def test_no_stage_loads_scipy_or_numpy_ma(blob_csv, fit_dir, tmp_path):
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
     env = dict(os.environ, PYTHONPATH=src)
     proc = subprocess.run(
@@ -811,6 +833,8 @@ def test_no_stage_loads_scipy(blob_csv, fit_dir, tmp_path):
                            "mfm run_chain starts", "fit mfm"}
     for stage, loaded in seen.items():
         assert not loaded["scipy"], stage
+        # np.median and a flag-less np.unique would import it
+        assert not loaded["numpy.ma"], stage
     # single-chain fits never import the process pool
     assert not any(s["concurrent.futures.process"] for s in seen.values())
 

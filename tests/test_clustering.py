@@ -76,11 +76,12 @@ class TestKmeansRobustness:
             result = kmeans(X, 4, np.random.default_rng(seed))
             assert result.n_nonempty == 4
 
-    def test_restarts_never_hurt(self):
+    def test_restarts_never_hurt(self, monkeypatch):
         rng = np.random.default_rng(10)
         X, _ = _blobs(rng, [(0, 0), (4, 0), (0, 4), (4, 4)], 25, scale=0.5)
-        single = kmeans(X, 4, np.random.default_rng(11), n_restarts=1)
-        many = kmeans(X, 4, np.random.default_rng(11), n_restarts=10)
+        many = kmeans(X, 4, np.random.default_rng(11))
+        monkeypatch.setattr(clustering, "N_RESTARTS", 1)
+        single = kmeans(X, 4, np.random.default_rng(11))
         assert many.inertia <= single.inertia + 1e-9
 
     def test_deterministic_given_seed(self):
@@ -101,7 +102,7 @@ class TestKmeansRobustness:
 
         monkeypatch.setattr(clustering, "_work_arrays", counted)
         X = np.random.default_rng(14).standard_normal((80, 2))
-        kmeans(X, 3, np.random.default_rng(15), n_restarts=4)
+        kmeans(X, 3, np.random.default_rng(15))
         assert len(built) == 1
         cols, d2, diff = built[0]
         assert cols.shape == (2, 80) and d2.shape == diff.shape == (3, 80)
@@ -194,8 +195,8 @@ class TestMatchesPerClusterMeans:
         start = np.vstack([X[:3], np.full((1, d), 1e3)])
         assert np.bincount(_assign(_work_arrays(X, 4), start)[0],
                            minlength=4)[3] == 0
-        got = _lloyd(X, start, 100, _work_arrays(X, 4))
-        self._assert_same(got, reference.lloyd(X, start, 100))
+        got = _lloyd(X, start, _work_arrays(X, 4))
+        self._assert_same(got, reference.lloyd(X, start, clustering.MAX_ITER))
         assert np.unique(got[1]).size == 4
 
     @pytest.mark.parametrize("seed", range(3))

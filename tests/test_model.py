@@ -9,7 +9,7 @@ from bgmix.distributions import bnb_log_pmf
 from bgmix.model import (ChainConfig, Dataset, DynamicGamma, FixedGamma,
                          FixedK, MixtureState, RandomK, build_default_prior,
                          complete_data_log_likelihood, generate_synthetic,
-                         mixture_log_likelihood)
+                         mixture_log_likelihood, _column_median)
 
 
 def _dataset(rng, n=40, r=2):
@@ -102,9 +102,17 @@ class TestBuildDefaultPrior:
         rng = np.random.default_rng(1)
         data = _dataset(rng, n=60, r=2)
         prior = build_default_prior(data)
-        np.testing.assert_allclose(prior.b0, np.median(data.y, axis=0))
+        np.testing.assert_array_equal(prior.b0, np.median(data.y, axis=0))
         ranges = data.y.max(axis=0) - data.y.min(axis=0)
         np.testing.assert_allclose(prior.B0, np.diag(ranges ** 2))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 145, 150, 4000, 4001])
+    def test_column_median_is_numpy_median_to_the_bit(self, n):
+        rng = np.random.default_rng(n)
+        y = rng.standard_normal((n, 50)) * np.logspace(-5, 6, 50)
+        y[:, :10] = np.round(y[:, :10])          # ties
+        np.testing.assert_array_equal(_column_median(y),
+                                      np.median(y, axis=0))
 
     def test_degree_parameters(self):
         data = _dataset(np.random.default_rng(2), r=3)

@@ -1,5 +1,6 @@
 """Unit tests for the Gibbs sweep steps and the chain driver."""
 
+import os
 import tracemalloc
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 import reference
 from bgmix import distributions as dist
 from bgmix import sampler as smp
+from bgmix.cli import load_dataset
 from bgmix.model import (ChainConfig, Dataset, DynamicGamma, FixedGamma,
                          FixedK, MixtureState, RandomK, build_default_prior,
                          complete_data_log_likelihood, mixture_log_likelihood)
@@ -16,6 +18,10 @@ from bgmix.sampler import (NumericalError, SamplerError, compact_filled,
                            step_add_empty, step_classify,
                            step_component_params, step_hyper, step_sample_K,
                            step_weights, label_dtype, _log_partition_given_k)
+
+
+DIABETES_PATH = os.path.join(os.path.dirname(__file__), os.pardir, "data",
+                             "diabetes.csv")
 
 
 def _two_blob_data(rng, n=60):
@@ -377,6 +383,32 @@ class TestStepHyper:
         with pytest.raises(ValueError):
             step_hyper(state, prior, np.random.default_rng(0),
                        filled_only=True)
+
+
+class TestSmallUnitData:
+    """The C0 update's rate G0 + sum_k Sigma_k^-1 is symmetric only to
+    rounding, and its size scales as the inverse square of the data's
+    units: on the diabetes data times 1e-4 or 1e-5 the asymmetry passes
+    an absolute 1e-10 within the first sweeps. Every chain must run
+    whatever the units."""
+
+    @pytest.mark.parametrize("scale", [1e-4, 1e-5])
+    @pytest.mark.parametrize("mode", ["sfm", "mfm"])
+    def test_chain_runs_on_rescaled_diabetes_data(self, mode, scale):
+        diabetes = load_dataset(DIABETES_PATH)
+        data = Dataset(y=diabetes.y * scale,
+                       feature_names=diabetes.feature_names)
+        if mode == "sfm":
+            gamma_spec, k_prior = FixedGamma(0.01), FixedK(10)
+        else:
+            gamma_spec = DynamicGamma(0.5)
+            k_prior = RandomK(1.0, 4.0, 3.0, k_max=100, k_init=10)
+        prior = build_default_prior(data, gamma_spec=gamma_spec,
+                                    k_prior=k_prior)
+        out = run_chain(data, prior, ChainConfig(n_iter=50, burn_in=10,
+                                                 seed=1))
+        assert np.all(np.isfinite(out.trace["log_lik"]))
+        assert np.all(out.trace["K_plus"] >= 1)
 
 
 class TestPartitionProbability:
