@@ -313,12 +313,18 @@ def generate_synthetic(prior, N, rng):
     mu = dist.sample_mvnormal_batch(
         np.broadcast_to(prior.b0, (K, r)).copy(),
         np.broadcast_to(prior.B0, (K, r, r)).copy(), rng)
-    cum = np.cumsum(eta)
-    S = np.minimum(np.searchsorted(cum, rng.random(N), side="right"), K - 1)
-    L = np.linalg.cholesky(Sigma)
-    z = rng.standard_normal((N, r))
-    y = mu[S] + np.einsum("nij,nj->ni", L[S], z)
+    S, y = sample_observations(eta, mu, Sigma, N, rng)
     state = MixtureState(K=K, eta=eta, mu=mu, Sigma=Sigma, C0=C0, S=S)
     names = [f"x{j + 1}" for j in range(r)]
     data = Dataset(y=y, feature_names=names, true_labels=S.copy())
     return data, state
+
+
+def sample_observations(eta, mu, Sigma, N, rng):
+    """Draw S_i ~ Categorical(eta), y_i ~ N(mu_{S_i}, Sigma_{S_i}), i <= N."""
+    K, r = mu.shape
+    cum = np.cumsum(eta)
+    S = np.minimum(np.searchsorted(cum, rng.random(N), side="right"), K - 1)
+    L = np.linalg.cholesky(Sigma)
+    z = rng.standard_normal((N, r))
+    return S, mu[S] + np.einsum("nij,nj->ni", L[S], z)

@@ -1,13 +1,12 @@
 """Gibbs samplers for the Gaussian mixture model.
 
-The type of the prior's k_prior picks the sweep:
+One sweep (sweep) serves both K priors; the type of the prior's k_prior
+picks the moves it adds:
 
-* ``FixedK``: data augmentation Gibbs sweep with K constant. With a
-  generous K and a small FixedGamma this is the sparse finite mixture
-  (sfm): superfluous components empty out.
-* ``RandomK``: the telescoping sweep. K itself is sampled each sweep
-  conditional on the current partition, empty components are re-drawn
-  from the prior.
+* ``FixedK``: none. With a generous K and a small FixedGamma this is the
+  sparse finite mixture (sfm): superfluous components empty out.
+* ``RandomK``: the telescoping moves: K is sampled each sweep given the
+  partition, after C0, and the empty components are drawn from C0 anew.
 
 All updates are written against stacked arrays so a sweep costs a fixed
 number of numpy calls regardless of N; only step_classify's grows with K,
@@ -288,25 +287,16 @@ def step_component_params(data, state, prior, rng):
     return state
 
 
-def step_hyper(state, prior, rng, filled_only):
-    """Redraw the hyperparameter C0 given the component covariances.
+def step_hyper(state, prior, rng):
+    """Redraw the hyperparameter C0 given the covariances of all K slots.
 
-    With filled_only the conditional uses only components that currently
-    hold observations; otherwise all K slots enter.
+    In the telescoping sweep it runs right after compact_filled and the
+    component update, so the K slots are exactly the filled components.
     """
-    if filled_only:
-        idx = np.flatnonzero(state.N_k > 0)
-        if idx.size == 0:
-            raise ValueError("hyperparameter update needs at least one "
-                             "filled component")
-        Sigmas = state.Sigma[idx]
-    else:
-        Sigmas = state.Sigma
-    kprime = Sigmas.shape[0]
-    rate = prior.G0 + np.linalg.inv(Sigmas).sum(axis=0)
+    rate = prior.G0 + np.linalg.inv(state.Sigma).sum(axis=0)
     # symmetric to rounding by construction, and exactly from here on
     rate = 0.5 * (rate + rate.T)
-    alpha = np.array([prior.g0 + kprime * prior.c0])
+    alpha = np.array([prior.g0 + state.K * prior.c0])
     state.C0 = dist.sample_wishart_batch(alpha, rate[None], rng)[0]
     return state
 
@@ -392,18 +382,22 @@ def step_sample_K(state, prior, rng):
     return state
 
 
-def compact_filled(state):
-    """Drop empty component slots, keeping filled ones in their relative order."""
-    filled = np.flatnonzero(state.N_k > 0)
+def _keep_slots(state, order):
+    """Keep the slots order, all filled ones among them, as 0, 1, ..."""
     remap = np.full(state.K, -1)
-    remap[filled] = np.arange(filled.size)
+    remap[order] = np.arange(order.size)
     state.S = remap[state.S]
-    state.eta = state.eta[filled]
-    state.mu = state.mu[filled]
-    state.Sigma = state.Sigma[filled]
-    state.K = int(filled.size)
+    state.eta = state.eta[order]
+    state.mu = state.mu[order]
+    state.Sigma = state.Sigma[order]
+    state.K = int(order.size)
     state.refresh_counts()
     return state
+
+
+def compact_filled(state):
+    """Drop empty component slots, keeping filled ones in their relative order."""
+    return _keep_slots(state, np.flatnonzero(state.N_k > 0))
 
 
 def step_add_empty(state, prior, rng):
@@ -416,7 +410,6 @@ def step_add_empty(state, prior, rng):
     if m < 0:
         raise ValueError("state holds more components than K")
     if m == 0:
-        state.refresh_counts()
         return state
     r = state.mu.shape[1]
     mu_new = dist.sample_mvnormal_batch(
@@ -433,19 +426,34 @@ def step_add_empty(state, prior, rng):
 
 def permute_labels_random(state, rng):
     """Apply a uniformly random permutation to the component labels."""
-    perm = rng.permutation(state.K)
-    inv = np.empty_like(perm)
-    inv[perm] = np.arange(state.K)
-    state.eta = state.eta[perm]
-    state.mu = state.mu[perm]
-    state.Sigma = state.Sigma[perm]
-    state.S = inv[state.S]
-    state.refresh_counts()
-    return state
+    return _keep_slots(state, rng.permutation(state.K))
 
 
 # ---------------------------------------------------------------------------
 # chain driver
+
+
+def sweep(data, state, prior, rng, logp=None):
+    """One Gibbs sweep: classify, component parameters, C0, weights.
+
+    logp goes to step_classify. A RandomK prior adds compact_filled after
+    classify, and step_sample_K and step_add_empty after C0. C0 then sees
+    the filled components alone, which integrates the empties out, so by
+    partially collapsed Gibbs (van Dyk & Park 2008) the empties are drawn
+    after it, from the new C0 (Fruehwirth-Schnatter, Malsiner-Walli &
+    Gruen 2021).
+    """
+    telescoping = isinstance(prior.k_prior, RandomK)
+    step_classify(data, state, rng, logp)
+    if telescoping:
+        compact_filled(state)
+    step_component_params(data, state, prior, rng)
+    step_hyper(state, prior, rng)
+    if telescoping:
+        step_sample_K(state, prior, rng)
+        step_add_empty(state, prior, rng)
+    step_weights(state, prior.gamma_spec.gamma_for(state.K), rng)
+    return state
 
 
 def run_chain(data, prior, config):
@@ -455,8 +463,8 @@ def run_chain(data, prior, config):
     ----------
     data : Dataset
     prior : PriorConfig
-        Its k_prior picks the sweep: the telescoping sweep for RandomK,
-        the fixed-K sweep for FixedK.
+        Its k_prior picks the moves of the sweep: the telescoping ones
+        for RandomK, none for FixedK (see sweep).
     config : ChainConfig
         Its seed starts the chain's own Generator, default_rng(seed).
 
@@ -489,22 +497,7 @@ def run_chain(data, prior, config):
         logp = None  # the first classify evaluates the densities itself
         for it in range(M):
             try:
-                step_classify(data, state, rng, logp)
-                # stale from here on; do not hold it through the sweep
-                logp = None
-                if telescoping:
-                    compact_filled(state)
-                    step_component_params(data, state, prior, rng)
-                    step_sample_K(state, prior, rng)
-                    step_add_empty(state, prior, rng)
-                    step_weights(state, prior.gamma_spec.gamma_for(state.K),
-                                 rng)
-                    step_hyper(state, prior, rng, filled_only=True)
-                else:
-                    step_component_params(data, state, prior, rng)
-                    step_hyper(state, prior, rng, filled_only=False)
-                    step_weights(state, prior.gamma_spec.gamma_for(state.K),
-                                 rng)
+                sweep(data, state, prior, rng, logp)
                 if config.permutation_step:
                     permute_labels_random(state, rng)
                 # one evaluation serves the trace and the next classify

@@ -346,43 +346,13 @@ class TestStepHyper:
             S=np.array([0] * 30 + [1] * 30))
         draw_rng = np.random.default_rng(17)
         draws = np.array([
-            step_hyper(state, prior, draw_rng, filled_only=False).C0.copy()
+            step_hyper(state, prior, draw_rng).C0.copy()
             for _ in range(20000)])
         alpha = prior.g0 + 2 * prior.c0
         rate = prior.G0 + np.linalg.inv(Sigma).sum(axis=0)
         np.testing.assert_allclose(draws.mean(axis=0),
                                    alpha * np.linalg.inv(rate),
                                    rtol=0.05, atol=0.08)
-
-    def test_filled_only_ignores_empty_slots(self):
-        rng = np.random.default_rng(18)
-        data = _two_blob_data(rng)
-        prior = _prior(data)
-        Sigma = np.array([np.eye(2) * 2.0, np.eye(2) * 1e6])
-        state = MixtureState(
-            K=2, eta=np.array([1.0, 0.0]), mu=np.zeros((2, 2)),
-            Sigma=Sigma.copy(), C0=np.eye(2), S=np.zeros(60, dtype=int))
-        draw_rng = np.random.default_rng(19)
-        draws = np.array([
-            step_hyper(state, prior, draw_rng, filled_only=True).C0.copy()
-            for _ in range(20000)])
-        alpha = prior.g0 + 1 * prior.c0
-        rate = prior.G0 + np.linalg.inv(Sigma[0])
-        np.testing.assert_allclose(draws.mean(axis=0),
-                                   alpha * np.linalg.inv(rate),
-                                   rtol=0.05, atol=0.08)
-
-    def test_requires_filled_component(self):
-        data = _two_blob_data(np.random.default_rng(20))
-        prior = _prior(data)
-        state = MixtureState(
-            K=2, eta=np.array([0.5, 0.5]), mu=np.zeros((2, 2)),
-            Sigma=np.array([np.eye(2), np.eye(2)]), C0=np.eye(2),
-            S=np.zeros(60, dtype=int))
-        state.N_k = np.zeros(2, dtype=int)
-        with pytest.raises(ValueError):
-            step_hyper(state, prior, np.random.default_rng(0),
-                       filled_only=True)
 
 
 class TestSmallUnitData:
@@ -752,6 +722,49 @@ class TestRunChain:
         kplus = out.records.K_plus
         values, counts = np.unique(kplus, return_counts=True)
         assert values[np.argmax(counts)] == 2
+
+    def test_telescoping_empties_drawn_from_the_final_C0(self, monkeypatch):
+        """The C0 update integrates the empty components out, so they must
+        be drawn after it: a telescoping sweep that adds empty slots draws
+        them from the C0 it ends with."""
+        data, prior = self._setup("telescoping")
+        starts = []      # C0 as each sweep starts: the last one's final C0
+        drawn_from = {}  # sweep -> C0 its empty slots were drawn from
+
+        def classify(data, state, rng, logp=None):
+            starts.append(state.C0.copy())
+            return step_classify(data, state, rng, logp)
+
+        def add_empty(state, prior, rng):
+            if state.K > state.mu.shape[0]:
+                drawn_from[len(starts) - 1] = state.C0.copy()
+            return step_add_empty(state, prior, rng)
+
+        monkeypatch.setattr(smp, "step_classify", classify)
+        monkeypatch.setattr(smp, "step_add_empty", add_empty)
+        run_chain(data, prior, ChainConfig(n_iter=100, burn_in=0, seed=43))
+        checked = [t for t in drawn_from if t + 1 < len(starts)]
+        assert len(checked) > 10
+        for t in checked:
+            np.testing.assert_array_equal(drawn_from[t], starts[t + 1])
+
+    def test_telescoping_hyper_sees_only_filled_slots(self, monkeypatch):
+        """In the telescoping sweep C0 is drawn from the filled components
+        alone: every slot step_hyper sees holds observations."""
+        data, prior = self._setup("telescoping")
+        seen = []
+
+        def hyper(state, prior, rng):
+            seen.append(state.N_k.copy())
+            return step_hyper(state, prior, rng)
+
+        monkeypatch.setattr(smp, "step_hyper", hyper)
+        out = run_chain(data, prior, ChainConfig(n_iter=100, burn_in=0,
+                                                 seed=44))
+        assert len(seen) == 100
+        assert np.any(out.trace["K"] > out.trace["K_plus"])
+        for N_k in seen:
+            assert np.all(N_k > 0)
 
     def test_step_failure_reports_iteration(self, monkeypatch):
         data, prior = self._setup()
