@@ -67,7 +67,13 @@ def _work_arrays(points, k):
 
     kmeans builds them once per call; every restart seeds from the
     columns, and every Lloyd step writes into the same two arrays
-    instead of allocating and freeing them each time.
+    instead of allocating and freeing them each time. The sampler's
+    steps allocate their own, but here the reuse is measured to pay:
+    allocating the two (k, n) arrays in every Lloyd step at n = 4000,
+    d = 5, k = 8 (scripts/ab.py sweep-n4000, medians of 10 rounds on a
+    2-core VM) took the k-means start from 0.036 to 0.047 s and its
+    minor page faults from 144 to 8272, and left the sweeps after it at
+    66 faults per sweep instead of 11.5.
     """
     cols = np.ascontiguousarray(points.T)
     d2 = np.empty((k, cols.shape[1]))

@@ -12,40 +12,9 @@ in this module; everything else calls these functions.
 """
 
 import math
-import threading
 from functools import lru_cache
 
 import numpy as np
-
-
-class _Scratch(threading.local):
-    """Work arrays reused from call to call, one set per thread."""
-
-    def __init__(self):
-        self.buffers = {}
-
-
-_scratch = _Scratch()
-
-
-def scratch(name, shape, dtype=float):
-    """A work array of the given shape, reused from call to call under name.
-
-    It is a view of a flat buffer that is kept per thread and only grows,
-    so a smaller K or N reuses it too. Its contents are undefined: the
-    caller overwrites all of it, and it never leaves the calling function,
-    because the next call under the same name overwrites it.
-    """
-    size = math.prod(shape)
-    buf = _scratch.buffers.get(name)
-    if buf is None or buf.dtype != dtype or buf.size < size:
-        buf = _scratch.buffers[name] = np.empty(size, dtype)
-    return buf[:size].reshape(shape)
-
-
-def free_scratch():
-    """Drop this thread's scratch buffers, returning their memory."""
-    _scratch.buffers.clear()
 
 
 def sample_dirichlet(e, rng):
@@ -150,12 +119,9 @@ def log_mvnormal_density_batch(Y, mu, Sigma):
     in another order for some r (numpy pairs them in lanes that depend
     on its build and the CPU), so the two may differ in their last bits.
 
-    The deviations and z are written into the scratch arrays "dev" and
-    "z", which are reused from call to call instead of being allocated
-    and freed each time; neither leaves this function. The returned
-    matrix is always a new array, the transpose of a C-ordered (K, N)
-    array; the constant terms are added to it in place, with no (K, N)
-    temporary.
+    The returned matrix is a new array, the transpose of a C-ordered
+    (K, N) array; the constant terms are added to it in place, with no
+    (K, N) temporary.
 
     Parameters
     ----------
@@ -170,16 +136,15 @@ def log_mvnormal_density_batch(Y, mu, Sigma):
     Y = np.asarray(Y, dtype=float)
     mu = np.asarray(mu, dtype=float)
     Sigma = np.asarray(Sigma, dtype=float)
-    N, r = Y.shape
+    r = Y.shape[1]
     try:
         L = np.linalg.cholesky(Sigma)
     except np.linalg.LinAlgError as exc:
         raise ValueError("every Sigma must be positive definite") from exc
-    K = mu.shape[0]
+    # order="C" keeps N innermost; by default dev would take Y.T's layout
     dev = np.subtract(Y.T[None, :, :], mu[:, :, None],
-                      out=scratch("dev", (K, r, N)))          # (K, r, N)
-    z = np.matmul(np.linalg.inv(L), dev,
-                  out=scratch("z", (K, r, N)))                # (K, r, N)
+                      order="C")                              # (K, r, N)
+    z = np.matmul(np.linalg.inv(L), dev)                      # (K, r, N)
     maha = np.square(z, out=z).sum(axis=1)                    # (K, N)
     ii = np.arange(r)
     logdet = 2.0 * np.sum(np.log(L[:, ii, ii]), axis=1)       # (K,)

@@ -269,10 +269,9 @@ def mixture_log_likelihood(data, state, logm=None):
     rowmax = logm.max(axis=1)
     if np.any(np.isneginf(rowmax)):
         return float("-inf")
-    # the scratch array "terms" takes logm's layout, the transpose of a
-    # C-ordered (K, N) array, so the sum over K adds in the same order
-    terms = np.subtract(logm, rowmax[:, None],
-                        out=dist.scratch("terms", logm.shape[::-1]).T)
+    # terms takes logm's layout, the transpose of a C-ordered (K, N)
+    # array, so the sum over K adds in the same order
+    terms = logm - rowmax[:, None]
     terms.sort(axis=1)
     np.exp(terms, out=terms)
     return float(np.sum(np.log(terms.sum(axis=1)) + rowmax))
@@ -308,16 +307,27 @@ def generate_synthetic(prior, N, rng):
     eta = dist.sample_dirichlet(np.full(K, gamma_K), rng)
     C0 = dist.sample_wishart_batch(np.array([prior.g0]), prior.G0[None],
                                    rng)[0]
-    Sigma = dist.sample_inv_wishart_batch(
-        np.full(K, prior.c0), np.broadcast_to(C0, (K, r, r)).copy(), rng)
-    mu = dist.sample_mvnormal_batch(
-        np.broadcast_to(prior.b0, (K, r)).copy(),
-        np.broadcast_to(prior.B0, (K, r, r)).copy(), rng)
+    mu, Sigma = sample_components(prior, C0, K, rng)
     S, y = sample_observations(eta, mu, Sigma, N, rng)
     state = MixtureState(K=K, eta=eta, mu=mu, Sigma=Sigma, C0=C0, S=S)
     names = [f"x{j + 1}" for j in range(r)]
     data = Dataset(y=y, feature_names=names, true_labels=S.copy())
     return data, state
+
+
+def sample_components(prior, C0, m, rng):
+    """Draw m components from the prior, every mu_k before every Sigma_k.
+
+    mu_k ~ N(b0, B0) and Sigma_k ~ W^-1(c0, C0); returns mu (m, r) and
+    Sigma (m, r, r).
+    """
+    r = prior.b0.shape[0]
+    mu = dist.sample_mvnormal_batch(
+        np.broadcast_to(prior.b0, (m, r)).copy(),
+        np.broadcast_to(prior.B0, (m, r, r)).copy(), rng)
+    Sigma = dist.sample_inv_wishart_batch(
+        np.full(m, prior.c0), np.broadcast_to(C0, (m, r, r)).copy(), rng)
+    return mu, Sigma
 
 
 def sample_observations(eta, mu, Sigma, N, rng):

@@ -33,23 +33,12 @@ distributions.log_mvnormal_density_batch): its values, and with them
 the trace log-likelihood, may move in their last bits, and a draw only
 where a uniform falls that close to a boundary.
 
-The largest work arrays of a sweep are reused from sweep to sweep
-instead of being allocated and freed each time (distributions.scratch):
-the density's (K, r, N) deviations "dev" and their product with the
-inverse Cholesky factors "z", step_component_params' (P, N) bincount
-cells "codes", (r, N) columns and deviations "devT" and (P, N) pair
-products "prod", and the trace log-likelihood's (N, K) terms "terms"
-(a fresh one faulted in anew each sweep whenever glibc's mmap threshold,
-set by what the process freed before, sent it to its own mapping). A
-scratch array never leaves the function that fills it; what a step
-returns or stores in the state, like the (N, K) density matrix carried
-to the next classify, is a new array. run_chain frees the buffers when
-it returns or raises, so none outlives the chain. The (N, K) steps (the
-density's constant terms, the weights, classify's probabilities, the
-trace log-likelihood's sorted terms) and k-means' distances work in
-place, so fewer temporaries are alive at once: memory freed in a sweep
-can stay below the point where the allocator hands it back to the
-system.
+Each step allocates its own work arrays, and no array a step writes
+outlives it unless it is returned or stored in the state, like the
+(N, K) density matrix carried to the next classify. The (N, K) steps
+(the density's constant terms, the weights, classify's probabilities,
+the trace log-likelihood's sorted terms) and k-means' distances work in
+place, so fewer temporaries are alive at once.
 
 Log-gamma comes from the standard library (distributions.log_gamma over
 math.lgamma), so no sweep loads scipy.
@@ -70,7 +59,7 @@ import numpy as np
 from . import distributions as dist
 from .clustering import kmeans
 from .model import (MixtureState, RandomK, log_weighted_densities,
-                    mixture_log_likelihood)
+                    mixture_log_likelihood, sample_components)
 
 
 class NumericalError(RuntimeError):
@@ -246,15 +235,15 @@ def step_component_params(data, state, prior, rng):
     Sigma_k ~ W^-1(c0, C0), since the posterior factors collapse at
     N_k = 0.
 
-    The per-observation work runs along N. The scratch array "devT"
-    holds the (r, N) columns of y, then the deviations y_i - mu_{S_i};
-    "prod" holds the (P, N) products of their P = r(r+1)/2
-    lower-triangle coordinate pairs, and "codes" the bincount cell
-    S_i + K * p of each entry of row p. bincount adds each cell's
-    weights in index order, as np.add.at does, and a product does not
-    depend on the order of its factors, so the sums and the symmetric
-    scatter matrices are the same to the bit as adding up each
-    observation's (r,) row and (r, r) outer product.
+    The per-observation work runs along N. devT holds the (r, N)
+    columns of y, then the deviations y_i - mu_{S_i}; prod holds the
+    (P, N) products of their P = r(r+1)/2 lower-triangle coordinate
+    pairs, and codes the bincount cell S_i + K * p of each entry of
+    row p. bincount adds each cell's weights in index order, as
+    np.add.at does, and a product does not depend on the order of its
+    factors, so the sums and the symmetric scatter matrices are the
+    same to the bit as adding up each observation's (r,) row and
+    (r, r) outer product.
     """
     K, r, N = state.K, data.r, data.n
     Nk = state.N_k.astype(float)
@@ -263,10 +252,8 @@ def step_component_params(data, state, prior, rng):
     Bk = 0.5 * (Bk + np.transpose(Bk, (0, 2, 1)))
     offsets, blocks, sum_cells, scatter_cells = _pair_layout(r, K)
     P = offsets.shape[0]
-    codes = np.add(state.S, offsets,
-                   out=dist.scratch("codes", (P, N), np.intp))
-    devT = dist.scratch("devT", (r, N))
-    np.copyto(devT, data.y.T)
+    codes = np.add(state.S, offsets, dtype=np.intp)
+    devT = data.y.T.copy()
     # a new C-ordered (K, r) array: the einsum below gives other bits on
     # a strided view
     sums = np.bincount(codes[:r].ravel(), weights=devT.ravel(),
@@ -275,7 +262,7 @@ def step_component_params(data, state, prior, rng):
     bk = np.einsum("kij,kj->ki", Bk, rhs)
     state.mu = dist.sample_mvnormal_batch(bk, Bk, rng)
 
-    prod = dist.scratch("prod", (P, N))
+    prod = np.empty((P, N))
     # S is in range; mode="wrap" only spares take a buffered copy
     devT -= np.take(state.mu.T, state.S, axis=1, out=prod[:r], mode="wrap")
     for i, block in enumerate(blocks):
@@ -411,12 +398,7 @@ def step_add_empty(state, prior, rng):
         raise ValueError("state holds more components than K")
     if m == 0:
         return state
-    r = state.mu.shape[1]
-    mu_new = dist.sample_mvnormal_batch(
-        np.broadcast_to(prior.b0, (m, r)).copy(),
-        np.broadcast_to(prior.B0, (m, r, r)).copy(), rng)
-    Sigma_new = dist.sample_inv_wishart_batch(
-        np.full(m, prior.c0), np.broadcast_to(state.C0, (m, r, r)).copy(), rng)
+    mu_new, Sigma_new = sample_components(prior, state.C0, m, rng)
     state.mu = np.concatenate([state.mu, mu_new])
     state.Sigma = np.concatenate([state.Sigma, Sigma_new])
     state.eta = np.concatenate([state.eta, np.zeros(m)])
@@ -493,35 +475,30 @@ def run_chain(data, prior, config):
     if not telescoping:
         trace["mu1"] = np.empty((M, k_init))
 
-    try:
-        logp = None  # the first classify evaluates the densities itself
-        for it in range(M):
-            try:
-                sweep(data, state, prior, rng, logp)
-                if config.permutation_step:
-                    permute_labels_random(state, rng)
-                # one evaluation serves the trace and the next classify
-                logp = log_weighted_densities(data, state)
-                trace["log_lik"][it] = mixture_log_likelihood(data, state,
-                                                              logp)
-            except Exception as exc:
-                raise SamplerError(f"iteration {it}: {exc}") from exc
+    logp = None  # the first classify evaluates the densities itself
+    for it in range(M):
+        try:
+            sweep(data, state, prior, rng, logp)
+            if config.permutation_step:
+                permute_labels_random(state, rng)
+            # one evaluation serves the trace and the next classify
+            logp = log_weighted_densities(data, state)
+            trace["log_lik"][it] = mixture_log_likelihood(data, state, logp)
+        except Exception as exc:
+            raise SamplerError(f"iteration {it}: {exc}") from exc
 
-            trace["K"][it] = state.K
-            trace["K_plus"][it] = state.K_plus
-            if not telescoping:
-                trace["mu1"][it] = state.mu[:, 0]
-            if it >= burn and (it - burn) % thin == 0:
-                start, C = C, C + state.K
-                columns = grow(columns, C)
-                for col, value in zip(columns, (state.eta, state.mu,
-                                                state.Sigma, state.N_k)):
-                    col[start:C] = value
-                if S is not None:
-                    S[(it - burn) // thin] = state.S
-    finally:
-        # no work array outlives the chain
-        dist.free_scratch()
+        trace["K"][it] = state.K
+        trace["K_plus"][it] = state.K_plus
+        if not telescoping:
+            trace["mu1"][it] = state.mu[:, 0]
+        if it >= burn and (it - burn) % thin == 0:
+            start, C = C, C + state.K
+            columns = grow(columns, C)
+            for col, value in zip(columns, (state.eta, state.mu,
+                                            state.Sigma, state.N_k)):
+                col[start:C] = value
+            if S is not None:
+                S[(it - burn) // thin] = state.S
 
     records = Draws(stored, trace["K"][stored], trace["K_plus"][stored],
                     *(col[:C] for col in columns), S)

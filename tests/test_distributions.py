@@ -1,8 +1,6 @@
 """Unit tests for the distribution samplers and densities."""
 
 import math
-import threading
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -248,22 +246,7 @@ class TestLogMvnormalDensity:
         return (rng.standard_normal((N, r)) * 2, rng.standard_normal((K, r)),
                 Sigma)
 
-    def test_work_arrays_are_reused(self):
-        """After a warm-up call, a call allocates less than one (K, N, r)
-        array. numpy reports its data buffers to tracemalloc, so the bound
-        does not depend on the C allocator."""
-        N, K, r = 4000, 8, 5
-        y, mu, Sigma = self._inputs(np.random.default_rng(18), N, K, r)
-        dist.log_mvnormal_density_batch(y, mu, Sigma)
-        tracemalloc.start()
-        try:
-            dist.log_mvnormal_density_batch(y, mu, Sigma)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < K * N * r * 8
-
-    def test_reused_work_arrays_do_not_leak_between_calls(self):
+    def test_each_call_returns_a_new_array(self):
         rng = np.random.default_rng(19)
         results = []
         for N, K in [(4000, 8), (150, 3), (4000, 8)]:
@@ -277,15 +260,14 @@ class TestLogMvnormalDensity:
             for b in results[i + 1:]:
                 assert not np.shares_memory(a, b)
 
-    def test_threads_get_their_own_work_arrays(self):
-        mine = dist.scratch("dev", (2, 3))
-        theirs = []
-        worker = threading.Thread(
-            target=lambda: theirs.append(dist.scratch("dev", (2, 3))))
-        worker.start()
-        worker.join(timeout=10)
-        assert not worker.is_alive()
-        assert not np.shares_memory(mine, theirs[0])
+    @pytest.mark.parametrize("N, K, r", [(4000, 8, 5), (150, 3, 1)])
+    def test_returns_transpose_of_c_ordered_rows(self, N, K, r):
+        """classify walks the (K, N) rows and the trace log-likelihood
+        sums over K in this layout, so both rely on it."""
+        y, mu, Sigma = self._inputs(np.random.default_rng(N * K), N, K, r)
+        out = dist.log_mvnormal_density_batch(y, mu, Sigma)
+        assert out.shape == (N, K)
+        assert out.T.flags.c_contiguous
 
 
 class TestLogGamma:

@@ -5,11 +5,13 @@ import pytest
 from scipy.special import logsumexp
 from scipy.stats import multivariate_normal
 
+from bgmix import distributions as dist
 from bgmix.distributions import bnb_log_pmf
 from bgmix.model import (ChainConfig, Dataset, DynamicGamma, FixedGamma,
                          FixedK, MixtureState, RandomK, build_default_prior,
                          complete_data_log_likelihood, generate_synthetic,
-                         mixture_log_likelihood, _column_median)
+                         mixture_log_likelihood, sample_components,
+                         _column_median)
 
 
 def _dataset(rng, n=40, r=2):
@@ -289,3 +291,36 @@ class TestGenerateSynthetic:
         a, _ = generate_synthetic(prior, 30, np.random.default_rng(13))
         b, _ = generate_synthetic(prior, 30, np.random.default_rng(13))
         np.testing.assert_array_equal(a.y, b.y)
+
+
+class TestSampleComponents:
+
+    def _prior(self):
+        data = _dataset(np.random.default_rng(14), n=50, r=2)
+        return build_default_prior(data)
+
+    def test_draws_mu_then_sigma(self):
+        prior = self._prior()
+        C0 = 2.0 * prior.C0_init
+        mu, Sigma = sample_components(prior, C0, 3, np.random.default_rng(15))
+        rng = np.random.default_rng(15)
+        want_mu = dist.sample_mvnormal_batch(np.tile(prior.b0, (3, 1)),
+                                             np.tile(prior.B0, (3, 1, 1)), rng)
+        want_Sigma = dist.sample_inv_wishart_batch(
+            np.full(3, prior.c0), np.tile(C0, (3, 1, 1)), rng)
+        assert mu.tobytes() == want_mu.tobytes()
+        assert Sigma.tobytes() == want_Sigma.tobytes()
+
+    def test_prior_means(self):
+        """E[mu_k] = b0 and E[Sigma_k] = C0 / (c0 - (r+1)/2)."""
+        prior = self._prior()
+        m, r = 20000, prior.b0.size
+        mu, Sigma = sample_components(prior, prior.C0_init, m,
+                                      np.random.default_rng(16))
+        assert mu.shape == (m, r) and Sigma.shape == (m, r, r)
+        se = np.sqrt(np.diag(prior.B0) / m)
+        assert np.all(np.abs(mu.mean(axis=0) - prior.b0) < 5 * se)
+        np.testing.assert_allclose(Sigma.mean(axis=0),
+                                   prior.C0_init / (prior.c0 - (r + 1) / 2),
+                                   rtol=0.05, atol=0.05 * np.abs(
+                                       prior.C0_init).max())

@@ -291,28 +291,6 @@ class TestStepComponentParams:
                 == np.einsum("kij,kj->ki", Bk, rhs).tobytes())
         assert seen["V"].tobytes() == (0.5 * scatter).tobytes()
 
-    def test_work_arrays_are_reused(self):
-        """After a warm-up call, an update at N = 4000, r = 5 allocates
-        less than one (P, N) array of pair products, P = r(r+1)/2."""
-        rng = np.random.default_rng(20)
-        N, K, r = 4000, 8, 5
-        data = Dataset(y=rng.standard_normal((N, r)) * 3,
-                       feature_names=[f"x{j}" for j in range(r)])
-        prior = build_default_prior(data, k_prior=FixedK(K))
-        state = MixtureState(K=K, eta=np.full(K, 1.0 / K),
-                             mu=rng.standard_normal((K, r)),
-                             Sigma=np.tile(np.eye(r), (K, 1, 1)),
-                             C0=prior.C0_init.copy(),
-                             S=rng.integers(0, K, size=N))
-        step_component_params(data, state, prior, rng)
-        tracemalloc.start()
-        try:
-            step_component_params(data, state, prior, rng)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < r * (r + 1) // 2 * N * 8
-
     def test_mean_update_centers_on_posterior_mean(self, monkeypatch):
         """With the normal draw replaced by its mean, mu_k is
         (B0^-1 + N_k Sigma_k^-1)^-1 (B0^-1 b0 + Sigma_k^-1 sum_{S_i=k} y_i)."""
@@ -601,25 +579,6 @@ class TestRunChain:
         assert out.trace["K"].shape == (40,)
         assert np.all(out.trace["K"] == 2)
         assert out.trace["mu1"].shape == (40, 2)
-
-    def test_work_arrays_freed_when_chain_ends(self, monkeypatch):
-        data, prior = self._setup()
-        cfg = ChainConfig(n_iter=5, burn_in=1, seed=34)
-        run_chain(data, prior, cfg)
-        assert not dist._scratch.buffers
-
-        held = []
-
-        def boom(*args, **kwargs):
-            held.append(sorted(dist._scratch.buffers))
-            raise ValueError("boom")
-
-        monkeypatch.setattr(smp, "step_hyper", boom)
-        with pytest.raises(SamplerError):
-            run_chain(data, prior, cfg)
-        # the density and the component update had filled theirs
-        assert held == [["codes", "dev", "devT", "prod", "z"]]
-        assert not dist._scratch.buffers
 
     @pytest.mark.parametrize("k, dtype", [
         (1, np.int8), (127, np.int8), (128, np.int16), (32767, np.int16),
