@@ -57,6 +57,14 @@ check value, and the trace value where the case has one ("varies" if the
 runs disagree); `same_check` and `same_trace` say whether both trees gave
 the same one. Counts a child reports beside its time (the sweep cases'
 fault counts) get a min and median like the times.
+
+Each variant also gets a paired verdict on the child times, where lower
+is better: the change / parent ratio of every round's pair, the number
+of pairs the change won (ties count for neither), the parent's
+interquartile range and the gap between the two medians. `claim_holds`
+says whether a gain would be claimable: the change won at least nine
+tenths of the pairs and its median lies below the parent's by more than
+the parent's interquartile range.
 """
 
 import argparse
@@ -345,6 +353,18 @@ def summarize(runs):
             "runs": runs}
 
 
+def paired_verdict(parent, change):
+    """The paired claim rule on per-round times, lower being better."""
+    wins = sum(c < p for p, c in zip(parent, change))
+    q1, _, q3 = (statistics.quantiles(parent, n=4, method="inclusive")
+                 if len(parent) > 1 else (parent[0],) * 3)
+    gap = statistics.median(parent) - statistics.median(change)
+    return {"ratios": [c / p for p, c in zip(parent, change)],
+            "wins": wins, "pairs": len(parent), "parent_iqr": q3 - q1,
+            "median_gap": gap,
+            "claim_holds": wins >= 0.9 * len(parent) and gap > q3 - q1}
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("case", choices=CASES)
@@ -403,6 +423,8 @@ def main(argv=None):
         for part in ("child", "process"):
             entry[f"{part}_median_ratio"] = (entry["change"][part]["median"]
                                              / entry["parent"][part]["median"])
+        entry["paired"] = paired_verdict(runs[variant]["parent"]["child"],
+                                         runs[variant]["change"]["child"])
         for key in runs[variant]["parent"]["checks"]:
             entry[f"same_{key}"] = (entry["parent"][key] != "varies"
                                     and entry["parent"][key]
@@ -438,6 +460,11 @@ def main(argv=None):
               f"{entry['change']['child']['min']:.4g} "
               f"[{entry['change']['child']['median']:.4g}] {unit}{counts}; "
               f"{checks}")
+        paired = entry["paired"]
+        print(f"{variant}: change won {paired['wins']}/{paired['pairs']} "
+              f"pairs, median gap {paired['median_gap']:.4g} {unit}, parent "
+              f"IQR {paired['parent_iqr']:.4g} {unit}, claim holds: "
+              f"{paired['claim_holds']}")
     return 0
 
 

@@ -12,6 +12,10 @@ squared column ranges, c0 = c + (r+1)/2, g0 = 1 + (r-1)/2,
 C0_init = c * phi * S and G0 = g0 * C0_init^-1, where S is the diagonal
 of the empirical covariance.  Under these choices the prior mean of
 Sigma_k is phi * S.
+
+A MixtureState holds each covariance as its precision factor R_k, with
+Sigma_k^-1 = R_k R_k^T, the form a Wishart draw yields; Sigma_k is
+formed from it only when read (see MixtureState).
 """
 
 from dataclasses import dataclass, field
@@ -128,9 +132,10 @@ class Dataset:
 class PriorConfig:
     """The hierarchical prior above, with the per-chain constants of b0, B0.
 
-    B0_inv = B0^-1 and B0_inv_b0 = B0^-1 b0 enter every component update;
-    they are computed here, once, and are read-only, so b0 and B0 must
-    not change after construction.
+    B0_inv = B0^-1 and B0_inv_b0 = B0^-1 b0 enter every component update,
+    and B0_chol, the lower Cholesky factor of B0, every draw of an empty
+    component's mean; they are computed here, once, and are read-only,
+    so b0 and B0 must not change after construction.
     """
     gamma_spec: object                 # FixedGamma or DynamicGamma
     b0: np.ndarray
@@ -144,32 +149,57 @@ class PriorConfig:
     k_prior: object                    # FixedK or RandomK
     B0_inv: np.ndarray = field(init=False, repr=False, compare=False)
     B0_inv_b0: np.ndarray = field(init=False, repr=False, compare=False)
+    B0_chol: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.B0_inv = np.linalg.inv(self.B0)
         self.B0_inv_b0 = self.B0_inv @ self.b0
-        self.B0_inv.flags.writeable = self.B0_inv_b0.flags.writeable = False
+        self.B0_chol = np.linalg.cholesky(self.B0)
+        for table in (self.B0_inv, self.B0_inv_b0, self.B0_chol):
+            table.flags.writeable = False
 
 
-@dataclass
 class MixtureState:
     """One point of the MCMC state space.
+
+    R holds the covariances as precision factors: R[k] is triangular with
+    positive diagonal and R[k] R[k]^T = Sigma_k^-1. It is the state's one
+    record of them, and every sweep step works from it. A state is built
+    from R or from Sigma (K, r, r), whose factors are then derived by
+    distributions.precision_factor; a Sigma that is not positive definite
+    raises ValueError. Reading state.Sigma forms Sigma from R (exactly
+    symmetric); assigning to it sets R.
 
     S holds 0-based component labels; N_k and K_plus are derived from it
     via refresh_counts and must be kept in sync by every mutating step.
     """
-    K: int
-    eta: np.ndarray                    # (K,)
-    mu: np.ndarray                     # (K, r)
-    Sigma: np.ndarray                  # (K, r, r)
-    C0: np.ndarray                     # (r, r)
-    S: np.ndarray                      # (N,) ints in 0..K-1
-    N_k: np.ndarray = field(default=None)
-    K_plus: int = field(default=None)
 
-    def __post_init__(self):
-        if self.N_k is None:
+    def __init__(self, K, eta, mu, Sigma=None, *, C0, S, R=None, N_k=None,
+                 K_plus=None):
+        if (Sigma is None) == (R is None):
+            raise TypeError("give exactly one of Sigma and R")
+        self.K = K
+        self.eta = eta                 # (K,)
+        self.mu = mu                   # (K, r)
+        if R is None:
+            self.Sigma = Sigma
+        else:
+            self.R = R                 # (K, r, r)
+        self.C0 = C0                   # (r, r)
+        self.S = S                     # (N,) ints in 0..K-1
+        self.N_k = N_k
+        self.K_plus = K_plus
+        if N_k is None:
             self.refresh_counts()
+
+    @property
+    def Sigma(self):
+        """The covariances (K, r, r), formed from R."""
+        return dist.covariance_from_factor(self.R)
+
+    @Sigma.setter
+    def Sigma(self, value):
+        self.R = dist.precision_factor(np.asarray(value, dtype=float))
 
     def refresh_counts(self):
         self.N_k = np.bincount(self.S, minlength=self.K)
@@ -251,7 +281,7 @@ def log_weighted_densities(data, state):
     """(N, K) matrix of log eta_k + log f_N(y_i | mu_k, Sigma_k)."""
     with np.errstate(divide="ignore"):
         log_eta = np.log(state.eta)
-    logm = dist.log_mvnormal_density_batch(data.y, state.mu, state.Sigma)
+    logm = dist.log_mvnormal_density_batch(data.y, state.mu, state.R)
     logm += log_eta[None, :]
     return logm
 
@@ -267,7 +297,7 @@ def mixture_log_likelihood(data, state, logm=None):
     if logm is None:
         logm = log_weighted_densities(data, state)
     rowmax = logm.max(axis=1)
-    if np.any(np.isneginf(rowmax)):
+    if (rowmax == -np.inf).any():
         return float("-inf")
     # terms takes logm's layout, the transpose of a C-ordered (K, N)
     # array, so the sum over K adds in the same order
@@ -307,9 +337,10 @@ def generate_synthetic(prior, N, rng):
     eta = dist.sample_dirichlet(np.full(K, gamma_K), rng)
     C0 = dist.sample_wishart_batch(np.array([prior.g0]), prior.G0[None],
                                    rng)[0]
-    mu, Sigma = sample_components(prior, C0, K, rng)
-    S, y = sample_observations(eta, mu, Sigma, N, rng)
-    state = MixtureState(K=K, eta=eta, mu=mu, Sigma=Sigma, C0=C0, S=S)
+    mu, R = sample_components(prior, C0, K, rng)
+    S, y = sample_observations(eta, mu, dist.covariance_from_factor(R), N,
+                               rng)
+    state = MixtureState(K=K, eta=eta, mu=mu, R=R, C0=C0, S=S)
     names = [f"x{j + 1}" for j in range(r)]
     data = Dataset(y=y, feature_names=names, true_labels=S.copy())
     return data, state
@@ -319,15 +350,15 @@ def sample_components(prior, C0, m, rng):
     """Draw m components from the prior, every mu_k before every Sigma_k.
 
     mu_k ~ N(b0, B0) and Sigma_k ~ W^-1(c0, C0); returns mu (m, r) and
-    Sigma (m, r, r).
+    the precision factors R (m, r, r) of the Sigma_k (see MixtureState).
+    B0's factor is the prior's constant, and C0 is inverted and factored
+    once for all m draws.
     """
     r = prior.b0.shape[0]
-    mu = dist.sample_mvnormal_batch(
-        np.broadcast_to(prior.b0, (m, r)).copy(),
-        np.broadcast_to(prior.B0, (m, r, r)).copy(), rng)
-    Sigma = dist.sample_inv_wishart_batch(
-        np.full(m, prior.c0), np.broadcast_to(C0, (m, r, r)).copy(), rng)
-    return mu, Sigma
+    mu = prior.b0 + rng.standard_normal((m, r)) @ prior.B0_chol.T
+    R = dist.sample_wishart_factor_batch(np.full(m, prior.c0), C0[None],
+                                         rng)
+    return mu, R
 
 
 def sample_observations(eta, mu, Sigma, N, rng):

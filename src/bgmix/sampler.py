@@ -12,14 +12,23 @@ All updates are written against stacked arrays so a sweep costs a fixed
 number of numpy calls regardless of N; only step_classify's grows with K,
 by one row addition per component. A sweep evaluates the (N, K)
 matrix of log-weighted component densities once: built at the end of a
-sweep, it gives the trace log-likelihood and then the next sweep's
-classification, which sees the same state. Functions of the prior alone
-are computed once: a RandomK prior holds its log prior of K over
-1..k_max from construction, as PriorConfig holds B0^-1 and B0^-1 b0.
-The K update's terms that depend on K, gamma_K and N alone are built
-once per chain, into read-only tables over K = 1..k_max; the only
-data-dependent terms, the rows log Gamma(n + gamma_K) over the same
-range for a cluster of size n, are kept in a bounded cache.
+sweep, it feeds the next sweep's classification, which sees the same
+state. Classify already takes each observation's maximum and normalizer
+of that matrix, and from them it returns the mixture log-likelihood of
+the state it classified against: the previous sweep's trace row. The
+last sweep's row is the one extra model.mixture_log_likelihood call.
+
+The state carries each covariance as the precision factor R_k its
+Wishart draw yields (MixtureState): the component update and the C0
+update take Sigma_k^-1 = R_k R_k^T by one matmul, the density factors
+nothing, and Sigma is formed only for the stored sweeps, after the
+loop. Functions of the prior alone are computed once: a RandomK prior
+holds its log prior of K over 1..k_max from construction, as
+PriorConfig holds B0^-1, B0^-1 b0 and B0's Cholesky factor. The K
+update's terms that depend on K, gamma_K and N alone are built once per
+chain, into read-only tables over K = 1..k_max; the only data-dependent
+terms, the rows log Gamma(n + gamma_K) over the same range for a cluster
+of size n, are kept in a bounded cache of that chain's tables.
 
 Every pass over the N observations keeps N as the innermost axis, so
 numpy runs a few long loops instead of millions of r- or K-element ones:
@@ -44,8 +53,11 @@ Log-gamma comes from the standard library (distributions.log_gamma over
 math.lgamma), so no sweep loads scipy.
 
 run_chain writes each stored sweep's K component slots into the Draws
-columns after the previous sweep's. They start with room for T * k_init
-slots and double when a sweep does not fit, so fixed K never copies them.
+columns after the previous sweep's, the factors R_k into the Sigma
+column; after the loop that column is turned into Sigma_k in place, a
+bounded block of slots at a time, so it takes no second copy. The
+columns start with room for T * k_init slots and double when a sweep
+does not fit, so fixed K never copies them.
 The stored assignments take the narrowest label type that holds the
 most components a sweep can have (label_dtype): one byte a label up to
 K = 127, where int64 took eight.
@@ -60,6 +72,10 @@ from . import distributions as dist
 from .clustering import kmeans
 from .model import (MixtureState, RandomK, log_weighted_densities,
                     mixture_log_likelihood, sample_components)
+
+# slots per block when run_chain turns the stored factors into Sigma, so
+# the conversion's temporaries stay small whatever the chain's length
+_SIGMA_BLOCK = 256
 
 
 class NumericalError(RuntimeError):
@@ -87,7 +103,7 @@ class Draws:
     K_plus: np.ndarray     # (T,)
     eta: np.ndarray        # (C,), or (T, K) when K is constant
     mu: np.ndarray         # (C, r), or (T, K, r)
-    Sigma: np.ndarray      # (C, r, r), or (T, K, r, r)
+    Sigma: np.ndarray      # (C, r, r), or (T, K, r, r); exactly symmetric
     N_k: np.ndarray        # (C,), or (T, K)
     S: np.ndarray          # (T, N) in a label_dtype, or None
 
@@ -164,7 +180,11 @@ def step_classify(data, state, rng, logp=None):
     """Redraw every assignment S_i from its conditional given the parameters.
 
     logp is log_weighted_densities(data, state) when the caller already
-    holds it; it is computed here otherwise.
+    holds it; it is computed here otherwise. Returns the mixture
+    log-likelihood of the state as it came in, sum_i log sum_k
+    exp(logp[i, k]), from each observation's maximum and normalizer; it
+    equals mixture_log_likelihood's to rounding, but adds the terms in
+    another order, so it is not bit-invariant under relabeling.
 
     The work runs along N, on the (K, N) view logp.T: the normalizer is
     a sum over its rows, the cumulative probabilities are built in place
@@ -177,20 +197,21 @@ def step_classify(data, state, rng, logp=None):
         logp = log_weighted_densities(data, state)
     lt = logp.T
     colmax = lt.max(axis=0)
-    dead = np.isneginf(colmax)
-    if np.any(dead):
+    dead = colmax == -np.inf
+    if dead.any():
         i = int(np.flatnonzero(dead)[0])
         raise NumericalError(f"all component densities underflowed for "
                              f"observation {i}")
     p = np.subtract(lt, colmax, order="C")
     np.exp(p, out=p)
-    p /= p.sum(axis=0)
+    norm = p.sum(axis=0)
+    p /= norm
     for k in range(1, state.K - 1):
         p[k] += p[k - 1]
     u = rng.random(data.n)
     state.S = (p[:-1] < u).sum(axis=0)
     state.refresh_counts()
-    return state
+    return float(np.log(norm, out=norm).sum() + colmax.sum())
 
 
 def step_weights(state, gamma_K, rng):
@@ -233,7 +254,9 @@ def step_component_params(data, state, prior, rng):
 
     Empty slots reduce to prior-conditional draws: mu_k ~ N(b0, B0) and
     Sigma_k ~ W^-1(c0, C0), since the posterior factors collapse at
-    N_k = 0.
+    N_k = 0. The mean update takes Sigma_k^-1 = R_k R_k^T from the
+    state's factors, and the new factors are the Wishart draw's own
+    (distributions.sample_wishart_factor_batch), never inverted.
 
     The per-observation work runs along N. devT holds the (r, N)
     columns of y, then the deviations y_i - mu_{S_i}; prod holds the
@@ -247,9 +270,9 @@ def step_component_params(data, state, prior, rng):
     """
     K, r, N = state.K, data.r, data.n
     Nk = state.N_k.astype(float)
-    Sig_inv = np.linalg.inv(state.Sigma)
+    Sig_inv = state.R @ state.R.swapaxes(1, 2)
     Bk = np.linalg.inv(prior.B0_inv[None, :, :] + Nk[:, None, None] * Sig_inv)
-    Bk = 0.5 * (Bk + np.transpose(Bk, (0, 2, 1)))
+    Bk = 0.5 * (Bk + Bk.swapaxes(1, 2))
     offsets, blocks, sum_cells, scatter_cells = _pair_layout(r, K)
     P = offsets.shape[0]
     codes = np.add(state.S, offsets, dtype=np.intp)
@@ -270,7 +293,7 @@ def step_component_params(data, state, prior, rng):
     scatter = np.bincount(codes.ravel(), weights=prod.ravel(),
                           minlength=P * K).take(scatter_cells)
     Ck = state.C0[None, :, :] + 0.5 * scatter
-    state.Sigma = dist.sample_inv_wishart_batch(prior.c0 + Nk / 2.0, Ck, rng)
+    state.R = dist.sample_wishart_factor_batch(prior.c0 + Nk / 2.0, Ck, rng)
     return state
 
 
@@ -280,7 +303,8 @@ def step_hyper(state, prior, rng):
     In the telescoping sweep it runs right after compact_filled and the
     component update, so the K slots are exactly the filled components.
     """
-    rate = prior.G0 + np.linalg.inv(state.Sigma).sum(axis=0)
+    R = state.R
+    rate = prior.G0 + (R @ R.swapaxes(1, 2)).sum(axis=0)
     # symmetric to rounding by construction, and exactly from here on
     rate = 0.5 * (rate + rate.T)
     alpha = np.array([prior.g0 + state.K * prior.c0])
@@ -296,14 +320,17 @@ def _gamma_K(gamma_spec, k_max):
 
 @lru_cache(maxsize=16)
 def _k_terms(gamma_spec, k_max, n):
-    """The partition law's terms that depend on K alone, for K = 1..k_max.
+    """The partition law's terms for K = 1..k_max, for one chain.
 
-    Returns (log_fact, base, per_cluster): log_fact[j] = log j! for
-    j = 0..k_max, base[K-1] = log K! + log Gamma(K gamma_K)
+    Returns (log_fact, base, per_cluster, cluster_row): log_fact[j] =
+    log j! for j = 0..k_max, base[K-1] = log K! + log Gamma(K gamma_K)
     - log Gamma(K gamma_K + n), and per_cluster[K-1] = log gamma_K
     - log Gamma(1 + gamma_K), the factor each filled cluster adds besides
-    its row. One chain's constants: cached per (gamma_spec, k_max, n) and
-    shared by every caller, so the arrays are read-only.
+    its row; cluster_row(size) is that row, log Gamma(size + gamma_K)
+    over the same K, from a bounded cache of its own. So a K update
+    looks up the frozen gamma_spec once, not once per cluster. One
+    chain's constants: cached per (gamma_spec, k_max, n) and shared by
+    every caller, so the arrays are read-only.
     """
     K = np.arange(1, k_max + 1)
     gam = _gamma_K(gamma_spec, k_max)
@@ -313,15 +340,14 @@ def _k_terms(gamma_spec, k_max, n):
     per_cluster = np.log(gam) - dist.log_gamma(1.0 + gam)
     for table in (log_fact, base, per_cluster):
         table.flags.writeable = False
-    return log_fact, base, per_cluster
 
+    @lru_cache(maxsize=1024)
+    def cluster_row(size):
+        row = dist.log_gamma(size + gam)
+        row.flags.writeable = False
+        return row
 
-@lru_cache(maxsize=1024)
-def _cluster_row(gamma_spec, k_max, size):
-    """log Gamma(size + gamma_K) for K = 1..k_max, read-only."""
-    row = dist.log_gamma(size + _gamma_K(gamma_spec, k_max))
-    row.flags.writeable = False
-    return row
+    return log_fact, base, per_cluster, cluster_row
 
 
 def _log_partition_given_k(N_k, gamma_spec, k_max):
@@ -335,13 +361,13 @@ def _log_partition_given_k(N_k, gamma_spec, k_max):
 
     The gamma^K+ factor matters whenever gamma_K varies with K; without
     it the expression is not a partition probability (at N = 1 it would
-    equal 1/gamma_K instead of 1). Every term but the cluster rows comes
-    from the per-chain tables of _k_terms.
+    equal 1/gamma_K instead of 1). Every term comes from the per-chain
+    tables of _k_terms.
     """
     kplus = N_k.size
-    log_fact, base, per_cluster = _k_terms(gamma_spec, k_max,
-                                           int(N_k.sum()))
-    rows = sum(_cluster_row(gamma_spec, k_max, int(m)) for m in N_k)
+    log_fact, base, per_cluster, cluster_row = _k_terms(
+        gamma_spec, k_max, int(N_k.sum()))
+    rows = sum(cluster_row(m) for m in N_k.tolist())
     logp = base + kplus * per_cluster + rows          # K = 1..k_max
     return logp[kplus - 1:] - log_fact[:k_max - kplus + 1]
 
@@ -376,7 +402,7 @@ def _keep_slots(state, order):
     state.S = remap[state.S]
     state.eta = state.eta[order]
     state.mu = state.mu[order]
-    state.Sigma = state.Sigma[order]
+    state.R = state.R[order]
     state.K = int(order.size)
     state.refresh_counts()
     return state
@@ -384,6 +410,8 @@ def _keep_slots(state, order):
 
 def compact_filled(state):
     """Drop empty component slots, keeping filled ones in their relative order."""
+    if state.K_plus == state.K:
+        return state
     return _keep_slots(state, np.flatnonzero(state.N_k > 0))
 
 
@@ -398,9 +426,9 @@ def step_add_empty(state, prior, rng):
         raise ValueError("state holds more components than K")
     if m == 0:
         return state
-    mu_new, Sigma_new = sample_components(prior, state.C0, m, rng)
+    mu_new, R_new = sample_components(prior, state.C0, m, rng)
     state.mu = np.concatenate([state.mu, mu_new])
-    state.Sigma = np.concatenate([state.Sigma, Sigma_new])
+    state.R = np.concatenate([state.R, R_new])
     state.eta = np.concatenate([state.eta, np.zeros(m)])
     state.refresh_counts()
     return state
@@ -418,15 +446,16 @@ def permute_labels_random(state, rng):
 def sweep(data, state, prior, rng, logp=None):
     """One Gibbs sweep: classify, component parameters, C0, weights.
 
-    logp goes to step_classify. A RandomK prior adds compact_filled after
-    classify, and step_sample_K and step_add_empty after C0. C0 then sees
-    the filled components alone, which integrates the empties out, so by
-    partially collapsed Gibbs (van Dyk & Park 2008) the empties are drawn
-    after it, from the new C0 (Fruehwirth-Schnatter, Malsiner-Walli &
-    Gruen 2021).
+    logp goes to step_classify, and the sweep returns the log-likelihood
+    classify yields: that of the state the sweep started from. A RandomK
+    prior adds compact_filled after classify, and step_sample_K and
+    step_add_empty after C0. C0 then sees the filled components alone,
+    which integrates the empties out, so by partially collapsed Gibbs
+    (van Dyk & Park 2008) the empties are drawn after it, from the new C0
+    (Fruehwirth-Schnatter, Malsiner-Walli & Gruen 2021).
     """
     telescoping = isinstance(prior.k_prior, RandomK)
-    step_classify(data, state, rng, logp)
+    log_lik = step_classify(data, state, rng, logp)
     if telescoping:
         compact_filled(state)
     step_component_params(data, state, prior, rng)
@@ -435,7 +464,7 @@ def sweep(data, state, prior, rng, logp=None):
         step_sample_K(state, prior, rng)
         step_add_empty(state, prior, rng)
     step_weights(state, prior.gamma_spec.gamma_for(state.K), rng)
-    return state
+    return log_lik
 
 
 def run_chain(data, prior, config):
@@ -455,7 +484,9 @@ def run_chain(data, prior, config):
     ChainOutput
         Records hold the post-burn-in sweeps at the configured thinning;
         the trace dict carries per-iteration series for every sweep
-        including burn-in.
+        including burn-in. Row t of trace["log_lik"] is the mixture
+        log-likelihood of the state sweep t ends with: sweep t + 1's
+        classify yields it, and the last row is computed after the loop.
     """
     rng = np.random.default_rng(config.seed)
     telescoping = isinstance(prior.k_prior, RandomK)
@@ -478,14 +509,16 @@ def run_chain(data, prior, config):
     logp = None  # the first classify evaluates the densities itself
     for it in range(M):
         try:
-            sweep(data, state, prior, rng, logp)
+            log_lik = sweep(data, state, prior, rng, logp)
             if config.permutation_step:
                 permute_labels_random(state, rng)
-            # one evaluation serves the trace and the next classify
+            # the next classify's densities, and with them this sweep's
+            # log-likelihood
             logp = log_weighted_densities(data, state)
-            trace["log_lik"][it] = mixture_log_likelihood(data, state, logp)
         except Exception as exc:
             raise SamplerError(f"iteration {it}: {exc}") from exc
+        if it:
+            trace["log_lik"][it - 1] = log_lik
 
         trace["K"][it] = state.K
         trace["K_plus"][it] = state.K_plus
@@ -495,11 +528,16 @@ def run_chain(data, prior, config):
             start, C = C, C + state.K
             columns = grow(columns, C)
             for col, value in zip(columns, (state.eta, state.mu,
-                                            state.Sigma, state.N_k)):
+                                            state.R, state.N_k)):
                 col[start:C] = value
             if S is not None:
                 S[(it - burn) // thin] = state.S
+    trace["log_lik"][M - 1] = mixture_log_likelihood(data, state, logp)
 
+    factors = columns[2][:C]
+    for start in range(0, C, _SIGMA_BLOCK):
+        block = factors[start:start + _SIGMA_BLOCK]
+        block[...] = dist.covariance_from_factor(block)
     records = Draws(stored, trace["K"][stored], trace["K_plus"][stored],
                     *(col[:C] for col in columns), S)
     return ChainOutput(records=records, trace=trace)

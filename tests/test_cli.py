@@ -194,10 +194,10 @@ class TestFitCommand:
         write_assignments(str(tmp_path / "assignments.csv"), rec)
         artifacts.parse_assignments(str(tmp_path / "assignments.csv"), back)
         il, jl = np.tril_indices(data.r)
-        # the file holds Sigma's lower triangle: an inverse-Wishart draw is
-        # symmetric only to rounding, so the parsed upper one mirrors it
+        # the file holds Sigma's lower triangle; the chain's Sigma is
+        # exactly symmetric, so the parsed upper one is the chain's too
         pairs = [(back.Sigma[..., il, jl], rec.Sigma[..., il, jl]),
-                 (back.Sigma[..., jl, il], back.Sigma[..., il, jl])]
+                 (back.Sigma[..., jl, il], rec.Sigma[..., jl, il])]
         for name in ["iter", "K", "K_plus", "eta", "mu", "N_k", "S"]:
             pairs.append((getattr(back, name), getattr(rec, name)))
         for got, want in pairs:

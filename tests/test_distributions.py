@@ -152,6 +152,9 @@ class TestSampleInvWishart:
 
 
 class TestLogMvnormalDensity:
+    """The density takes precision factors R, R R^T = Sigma^-1. Each test
+    builds Sigma, passes dist.precision_factor(Sigma), and compares with
+    a reference computed from Sigma itself."""
 
     def test_matches_scipy(self):
         rng = np.random.default_rng(14)
@@ -169,12 +172,17 @@ class TestLogMvnormalDensity:
         mu = rng.standard_normal((4, 2))
         Sigma = np.array([np.diag(d) for d in
                           rng.uniform(0.5, 2.0, size=(4, 2))])
-        batch = dist.log_mvnormal_density_batch(y, mu, Sigma)
-        assert batch.shape == (25, 4)
-        for k in range(4):
-            loop = np.array([log_mvnormal_density(yi, mu[k], Sigma[k])
-                             for yi in y])
-            np.testing.assert_allclose(batch[:, k], loop, rtol=1e-12)
+        Sigma[:, 0, 1] = Sigma[:, 1, 0] = 0.3
+        # the upper factor precision_factor derives, and the lower one a
+        # Wishart draw yields
+        for R in (dist.precision_factor(Sigma),
+                  np.linalg.cholesky(np.linalg.inv(Sigma))):
+            batch = dist.log_mvnormal_density_batch(y, mu, R)
+            assert batch.shape == (25, 4)
+            for k in range(4):
+                loop = np.array([log_mvnormal_density(yi, mu[k], Sigma[k])
+                                 for yi in y])
+                np.testing.assert_allclose(batch[:, k], loop, rtol=1e-12)
 
     @staticmethod
     def _column_scales(rng):
@@ -211,7 +219,8 @@ class TestLogMvnormalDensity:
                                       "_far_from_origin"])
     def test_batch_matches_loop_on_hard_inputs(self, case):
         y, mu, Sigma = getattr(self, case)(np.random.default_rng(16))
-        batch = dist.log_mvnormal_density_batch(y, mu, Sigma)
+        batch = dist.log_mvnormal_density_batch(y, mu,
+                                                dist.precision_factor(Sigma))
         loop = np.array([[log_mvnormal_density(yi, mu[k], Sigma[k])
                           for k in range(mu.shape[0])] for yi in y])
         np.testing.assert_allclose(batch, loop, rtol=1e-10)
@@ -223,8 +232,9 @@ class TestLogMvnormalDensity:
         A = rng.standard_normal((6, 3, 3))
         Sigma = A @ np.transpose(A, (0, 2, 1)) + np.eye(3)
         perm = rng.permutation(6)
-        batch = dist.log_mvnormal_density_batch(y, mu, Sigma)
-        permuted = dist.log_mvnormal_density_batch(y, mu[perm], Sigma[perm])
+        R = dist.precision_factor(Sigma)
+        batch = dist.log_mvnormal_density_batch(y, mu, R)
+        permuted = dist.log_mvnormal_density_batch(y, mu[perm], R[perm])
         assert np.all(permuted == batch[:, perm])
 
     @pytest.mark.parametrize("N, K, r", [(4000, 8, 5), (150, 12, 3),
@@ -234,7 +244,8 @@ class TestLogMvnormalDensity:
         """The (K, r, N) layout sums the r squares in another order than
         the einsum over (K, N, r), so only the last bits may differ."""
         y, mu, Sigma = self._inputs(np.random.default_rng(N + K + r), N, K, r)
-        batch = dist.log_mvnormal_density_batch(y, mu, Sigma)
+        batch = dist.log_mvnormal_density_batch(y, mu,
+                                                dist.precision_factor(Sigma))
         assert batch.shape == (N, K)
         np.testing.assert_allclose(
             batch, log_mvnormal_density_einsum(y, mu, Sigma), rtol=1e-12)
@@ -251,7 +262,8 @@ class TestLogMvnormalDensity:
         results = []
         for N, K in [(4000, 8), (150, 3), (4000, 8)]:
             y, mu, Sigma = self._inputs(rng, N, K, 5)
-            batch = dist.log_mvnormal_density_batch(y, mu, Sigma)
+            batch = dist.log_mvnormal_density_batch(
+                y, mu, dist.precision_factor(Sigma))
             loop = np.array([[log_mvnormal_density(yi, mu[k], Sigma[k])
                               for k in range(K)] for yi in y])
             np.testing.assert_allclose(batch, loop, rtol=1e-10)
@@ -265,7 +277,8 @@ class TestLogMvnormalDensity:
         """classify walks the (K, N) rows and the trace log-likelihood
         sums over K in this layout, so both rely on it."""
         y, mu, Sigma = self._inputs(np.random.default_rng(N * K), N, K, r)
-        out = dist.log_mvnormal_density_batch(y, mu, Sigma)
+        out = dist.log_mvnormal_density_batch(y, mu,
+                                              dist.precision_factor(Sigma))
         assert out.shape == (N, K)
         assert out.T.flags.c_contiguous
 

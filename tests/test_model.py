@@ -164,6 +164,53 @@ class TestBuildDefaultPrior:
             build_default_prior(data)
 
 
+class TestMixtureState:
+    """The state holds precision factors R, R R^T = Sigma^-1, and accepts
+    or returns Sigma at its boundary."""
+
+    def _state(self, Sigma):
+        K, r = Sigma.shape[:2]
+        return MixtureState(K=K, eta=np.full(K, 1.0 / K), mu=np.zeros((K, r)),
+                            Sigma=Sigma, C0=np.eye(r),
+                            S=np.zeros(4, dtype=int))
+
+    @pytest.mark.parametrize("bad", [[[1.0, 2.0], [2.0, 1.0]],
+                                     [[1.0, 0.0], [0.0, 0.0]],
+                                     [[-1.0, 0.0], [0.0, 1.0]]],
+                             ids=["indefinite", "singular", "negative"])
+    def test_non_positive_definite_sigma_raises(self, bad):
+        Sigma = np.array([np.eye(2), bad])
+        with pytest.raises(ValueError,
+                           match="every Sigma must be positive definite"):
+            self._state(Sigma)
+
+    def test_sigma_round_trips_through_the_factor(self):
+        rng = np.random.default_rng(20)
+        A = rng.standard_normal((5, 3, 3))
+        Sigma = A @ np.transpose(A, (0, 2, 1)) + 0.5 * np.eye(3)
+        state = self._state(Sigma)
+        R = state.R
+        np.testing.assert_allclose(R @ np.transpose(R, (0, 2, 1)),
+                                   np.linalg.inv(Sigma), rtol=1e-10)
+        assert np.all(R.diagonal(axis1=1, axis2=2) > 0)
+        back = state.Sigma
+        assert np.array_equal(back, np.transpose(back, (0, 2, 1)))
+        np.testing.assert_allclose(back, Sigma, rtol=1e-12, atol=1e-13)
+        # assigning Sigma sets the factors
+        state.Sigma = 2.0 * Sigma
+        np.testing.assert_allclose(state.Sigma, 2.0 * Sigma, rtol=1e-12,
+                                   atol=1e-13)
+
+    def test_needs_exactly_one_of_sigma_and_r(self):
+        with pytest.raises(TypeError):
+            MixtureState(K=1, eta=np.ones(1), mu=np.zeros((1, 1)),
+                         C0=np.eye(1), S=np.zeros(2, dtype=int))
+        with pytest.raises(TypeError):
+            MixtureState(K=1, eta=np.ones(1), mu=np.zeros((1, 1)),
+                         Sigma=np.ones((1, 1, 1)), R=np.ones((1, 1, 1)),
+                         C0=np.eye(1), S=np.zeros(2, dtype=int))
+
+
 class TestMixtureLogLikelihood:
 
     def _state(self, rng, K, r, n):
@@ -300,23 +347,26 @@ class TestSampleComponents:
         return build_default_prior(data)
 
     def test_draws_mu_then_sigma(self):
+        """The same bits as stacked draws from m copies of (b0, B0) and
+        C0: B0's factor comes from the prior and C0 is factored once."""
         prior = self._prior()
         C0 = 2.0 * prior.C0_init
-        mu, Sigma = sample_components(prior, C0, 3, np.random.default_rng(15))
+        mu, R = sample_components(prior, C0, 3, np.random.default_rng(15))
         rng = np.random.default_rng(15)
         want_mu = dist.sample_mvnormal_batch(np.tile(prior.b0, (3, 1)),
                                              np.tile(prior.B0, (3, 1, 1)), rng)
-        want_Sigma = dist.sample_inv_wishart_batch(
+        want_R = dist.sample_wishart_factor_batch(
             np.full(3, prior.c0), np.tile(C0, (3, 1, 1)), rng)
         assert mu.tobytes() == want_mu.tobytes()
-        assert Sigma.tobytes() == want_Sigma.tobytes()
+        assert R.tobytes() == want_R.tobytes()
 
     def test_prior_means(self):
         """E[mu_k] = b0 and E[Sigma_k] = C0 / (c0 - (r+1)/2)."""
         prior = self._prior()
         m, r = 20000, prior.b0.size
-        mu, Sigma = sample_components(prior, prior.C0_init, m,
-                                      np.random.default_rng(16))
+        mu, R = sample_components(prior, prior.C0_init, m,
+                                  np.random.default_rng(16))
+        Sigma = dist.covariance_from_factor(R)
         assert mu.shape == (m, r) and Sigma.shape == (m, r, r)
         se = np.sqrt(np.diag(prior.B0) / m)
         assert np.all(np.abs(mu.mean(axis=0) - prior.b0) < 5 * se)

@@ -219,7 +219,7 @@ class TestStepComponentParams:
         K, r = state.K, data.r
         Nk = state.N_k.astype(float)
         B0_inv = np.linalg.inv(prior.B0)
-        Sig_inv = np.linalg.inv(state.Sigma)
+        Sig_inv = state.R @ np.transpose(state.R, (0, 2, 1))
         Bk = np.linalg.inv(B0_inv[None, :, :] + Nk[:, None, None] * Sig_inv)
         Bk = 0.5 * (Bk + np.transpose(Bk, (0, 2, 1)))
         sums = np.zeros((K, r))
@@ -232,13 +232,13 @@ class TestStepComponentParams:
         dev = data.y - mu[state.S]
         scatter = np.zeros((K, r, r))
         np.add.at(scatter, state.S, dev[:, :, None] * dev[:, None, :])
-        Sigma = dist.sample_inv_wishart_batch(
+        R = dist.sample_wishart_factor_batch(
             prior.c0 + Nk / 2.0, state.C0[None, :, :] + 0.5 * scatter,
             ref_rng)
 
         step_component_params(data, state, prior, np.random.default_rng(17))
         np.testing.assert_array_equal(state.mu, mu)
-        np.testing.assert_array_equal(state.Sigma, Sigma)
+        np.testing.assert_array_equal(state.R, R)
 
     @pytest.mark.parametrize("N, K, r, labels", [
         (4000, 8, 5, None), (90, 4, 3, [0, 1, 3]), (50, 3, 1, None),
@@ -262,7 +262,8 @@ class TestStepComponentParams:
             Sigma=A @ np.transpose(A, (0, 2, 1)) + np.eye(r),
             C0=np.zeros((r, r)),
             S=rng.choice(labels if labels else np.arange(K), size=N))
-        Sig_inv, S = np.linalg.inv(state.Sigma), state.S.copy()
+        Sig_inv = state.R @ np.transpose(state.R, (0, 2, 1))
+        S = state.S.copy()
         seen = {}
         normal = dist.sample_mvnormal_batch
 
@@ -270,13 +271,13 @@ class TestStepComponentParams:
             seen["b"] = b
             return normal(b, B, rng)
 
-        def record_inv_wishart(alpha, V, rng):
+        def record_wishart_factor(alpha, V, rng):
             seen["V"] = V
-            return state.Sigma
+            return state.R
 
         monkeypatch.setattr(dist, "sample_mvnormal_batch", record_normal)
-        monkeypatch.setattr(dist, "sample_inv_wishart_batch",
-                            record_inv_wishart)
+        monkeypatch.setattr(dist, "sample_wishart_factor_batch",
+                            record_wishart_factor)
         step_component_params(data, state, prior, rng)
 
         sums, scatter = reference.cluster_sums_and_scatter(data.y, S,
@@ -419,8 +420,9 @@ class TestPartitionProbability:
         assert smp._k_terms.cache_info().misses == 1
 
     def test_tables_are_read_only(self):
-        tables = smp._k_terms(FixedGamma(1.0), 10, 30)
-        row = smp._cluster_row(FixedGamma(1.0), 10, 7)
+        *tables, cluster_row = smp._k_terms(FixedGamma(1.0), 10, 30)
+        row = cluster_row(7)
+        assert cluster_row(7) is row
         for table in (*tables, row):
             with pytest.raises(ValueError):
                 table[0] = 0.0
@@ -555,6 +557,8 @@ class TestRunChain:
         data = _two_blob_data(rng)
         if mode == "fixed_k":
             prior = _prior(data)
+        elif mode == "sfm":
+            prior = _prior(data, FixedK(10), FixedGamma(0.01))
         else:
             prior = build_default_prior(
                 data, gamma_spec=DynamicGamma(0.5),
@@ -775,6 +779,57 @@ class TestRunChain:
         monkeypatch.setattr(dist, "log_mvnormal_density_batch", fails_second)
         with pytest.raises(SamplerError, match="iteration 0"):
             run_chain(data, prior, ChainConfig(n_iter=10, burn_in=0, seed=41))
+
+    @pytest.mark.parametrize("mode,permute", [
+        ("fixed_k", False), ("fixed_k", True), ("sfm", False),
+        ("telescoping", False)])
+    def test_trace_log_lik_is_each_sweeps_mixture_log_lik(
+            self, monkeypatch, mode, permute):
+        """Row t of the trace, the last row included, is the mixture
+        log-likelihood of the state sweep t ends with (after its label
+        permutation), to 1e-12 relative: classify yields it from its own
+        maxima and normalizers, which add the terms in another order."""
+        data, prior = self._setup(mode)
+        seen = []
+        densities = smp.log_weighted_densities
+
+        def recorded(data, state):
+            seen.append(mixture_log_likelihood(data, state))
+            return densities(data, state)
+
+        monkeypatch.setattr(smp, "log_weighted_densities", recorded)
+        cfg = ChainConfig(n_iter=40, burn_in=10, seed=45,
+                          permutation_step=permute)
+        out = run_chain(data, prior, cfg)
+        # the first evaluation is the start's, before sweep 0
+        assert len(seen) == cfg.n_iter + 1
+        np.testing.assert_allclose(out.trace["log_lik"], seen[1:],
+                                   rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("mode", ["fixed_k", "telescoping"])
+    def test_stored_sigma_is_symmetric_and_the_chains_own(self, monkeypatch,
+                                                          mode):
+        """Each stored Sigma is exactly symmetric and, to rounding,
+        (R R^T)^-1 of the factors the chain held at that sweep."""
+        data, prior = self._setup(mode)
+        held = []
+        densities = smp.log_weighted_densities
+
+        def recorded(data, state):
+            held.append(state.R.copy())
+            return densities(data, state)
+
+        monkeypatch.setattr(smp, "log_weighted_densities", recorded)
+        out = run_chain(data, prior, ChainConfig(n_iter=60, burn_in=20,
+                                                 thinning=3, seed=46))
+        r = data.r
+        Sigma = out.records.Sigma.reshape(-1, r, r)
+        assert np.array_equal(Sigma, np.transpose(Sigma, (0, 2, 1)))
+        # held[0] is the start's; held[t + 1] the state sweep t stored
+        R = np.concatenate([held[t + 1] for t in out.records.iter])
+        want = np.linalg.inv(R @ np.transpose(R, (0, 2, 1)))
+        np.testing.assert_allclose(Sigma, want, rtol=1e-10,
+                                   atol=1e-12 * np.abs(want).max())
 
     def test_permutation_step_leaves_posterior_alone(self):
         """With random label permutations the marginal over components is
