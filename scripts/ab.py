@@ -7,8 +7,8 @@ Each run is a fresh Python process with PYTHONPATH set to one tree; it
 reports one time and one check value. Round by round the case's variants
 run in turn, the two trees alternating which goes first, so slow phases
 of a shared machine hit both alike. Every case but sweep-n4000 and the
-n4000 variants of rss reads data/diabetes.csv (N=145, r=3) next to this
-script's checkout. CASE is one of:
+n4000 variants of rss and vi reads data/diabetes.csv (N=145, r=3) next to
+this script's checkout. CASE is one of:
 
 sweep    µs per sweep of `run_chain` in fixed-k (K=3), sfm (K=10,
          gamma 0.01) and mfm, 2000 sweeps with burn-in 500, seed 1,
@@ -45,10 +45,14 @@ rss      peak resident memory in MiB (ru_maxrss from os.wait4) of one
          parent tree runs once before the rounds; both trees write the
          same bytes. Check: SHA-256 of the CSV files the command
          writes. wall_s: the command's wall time.
-vi       seconds of one `vi_partition(S, thin_to=500)` call, where S
+vi       seconds of one `vi_partition(S, thin_to=T)` call. thin-500: S
          holds the assignments of a fixed-k (K=3) chain of 3000 sweeps,
-         burn-in 500, seed 1, run once by the parent tree before the
-         rounds. Check: SHA-256 of the chosen partition.
+         burn-in 500, seed 1, on the diabetes data, where most columns
+         of the candidates are distinct (D close to N). n4000-thin-100
+         and n4000-thin-1000: S holds those of the sweep-n4000 chain
+         (sfm, K=8, gamma 0.01, seed 1) run for 1000 sweeps, burn-in
+         50 (950 stored), where D is far below N. The parent tree runs both chains
+         once before the rounds. Check: SHA-256 of the chosen partition.
 
 The JSON written to --out has, per variant and tree, every run's time in
 the child and of the whole process (interpreter start included) with
@@ -190,11 +194,17 @@ from bgmix.cli import load_dataset
 from bgmix.model import ChainConfig, FixedGamma, FixedK, build_default_prior
 from bgmix.sampler import run_chain
 
-data = load_dataset(sys.argv[1])
-prior = build_default_prior(data, gamma_spec=FixedGamma(1.0),
-                            k_prior=FixedK(3))
-out = run_chain(data, prior, ChainConfig(n_iter=3000, burn_in=500, seed=1))
-np.save(os.path.join(sys.argv[2], "vi_S.npy"), out.records.S)
+# file name: data, K, gamma, sweeps, burn-in
+CHAINS = {"diabetes": (sys.argv[1], 3, 1.0, 3000, 500),
+          "n4000": (os.path.join(sys.argv[2], "n4000.csv"), 8, 0.01, 1000,
+                    50)}
+for name, (path, k, gamma, n_iter, burn_in) in CHAINS.items():
+    data = load_dataset(path)
+    prior = build_default_prior(data, gamma_spec=FixedGamma(gamma),
+                                k_prior=FixedK(k))
+    out = run_chain(data, prior,
+                    ChainConfig(n_iter=n_iter, burn_in=burn_in, seed=1))
+    np.save(os.path.join(sys.argv[2], f"vi_{name}.npy"), out.records.S)
 """
 
 VI = """
@@ -202,9 +212,10 @@ import hashlib, json, os, sys, time
 import numpy as np
 from bgmix.postprocess import vi_partition
 
-S = np.load(os.path.join(sys.argv[2], "vi_S.npy"))
+name, thin_to = json.loads(sys.argv[3])
+S = np.load(os.path.join(sys.argv[2], f"vi_{name}.npy"))
 t0 = time.perf_counter()
-part = vi_partition(S, thin_to=json.loads(sys.argv[3]))
+part = vi_partition(S, thin_to=thin_to)
 elapsed = time.perf_counter() - t0
 print(json.dumps({"value": elapsed, "check": hashlib.sha256(
     np.ascontiguousarray(part.labels, dtype=np.int64).tobytes()).hexdigest()}))
@@ -327,11 +338,18 @@ CASES = {
                 "identify reads the draws of one fit by the parent tree; "
                 "check: SHA-256 of the CSV files the command writes"},
     "vi": {
-        "child": VI, "unit": "s", "setup": VI_CHAIN,
-        "data": None, "data_what": DIABETES, "counts": {},
-        "variants": {"thin-500": 500},
-        "what": "seconds of vi_partition(S, thin_to=500) on the assignments "
-                "of a fixed-k (K=3) chain, 3000 sweeps, burn-in 500, seed 1; "
+        # the setup writes the n4000 data, then runs both chains
+        "child": VI, "unit": "s", "setup": N4000 + VI_CHAIN,
+        "data": None, "data_what": DIABETES + "; n4000: N=4000, r=5, "
+        "eight groups, numpy seed 4000",
+        "counts": {},
+        "variants": {"thin-500": ["diabetes", 500],
+                     "n4000-thin-100": ["n4000", 100],
+                     "n4000-thin-1000": ["n4000", 1000]},
+        "what": "seconds of vi_partition(S, thin_to=T) on the assignments "
+                "of a fixed-k (K=3) chain, 3000 sweeps, burn-in 500, seed 1 "
+                "(thin-500), and of an sfm (K=8, gamma 0.01) chain, 1000 "
+                "sweeps, burn-in 50, seed 1 (n4000-*); "
                 "check: SHA-256 of the chosen partition"},
 }
 

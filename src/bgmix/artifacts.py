@@ -7,6 +7,7 @@ so a draws file read back and written again is byte-identical.
 
 import csv
 import hashlib
+import itertools
 import json
 import os
 from contextlib import contextmanager
@@ -32,16 +33,24 @@ def _sha256(path):
 
 
 @contextmanager
-def _csv_rows(path):
-    """Yield the header and an iterator over the other non-blank rows."""
+def _reading(path):
+    """Yield path opened for the csv module; a failure to read or parse
+    it is an UnreadableInputError naming the file."""
     try:
         with open(path, newline="") as fh:
-            rows = (row for row in csv.reader(fh) if row)
-            yield next(rows, None), rows
+            yield fh
     except OSError as exc:
         raise UnreadableInputError(f"cannot read {path}: {exc}") from exc
     except (ValueError, OverflowError, csv.Error) as exc:
         raise UnreadableInputError(f"{path}: {exc}") from exc
+
+
+@contextmanager
+def _csv_rows(path):
+    """Yield the header and an iterator over the other non-blank rows."""
+    with _reading(path) as fh:
+        rows = (row for row in csv.reader(fh) if row)
+        yield next(rows, None), rows
 
 
 def load_table(path):
@@ -91,6 +100,11 @@ def parse_draws(path):
     except OverflowError:
         raise UnreadableInputError(f"{path}: an iter or K_plus value lies "
                                    f"outside the 64-bit range") from None
+    order = np.argsort(iters, kind="stable")
+    again = order[1:][iters[order[1:]] == iters[order[:-1]]]
+    if again.size:
+        raise UnreadableInputError(f"{path}: iteration {iters[again.min()]} "
+                                   f"has more than one row")
     N_k, of = N_k[:end], np.repeat(np.arange(K.size), K)    # each slot's row
     bad = ((K < 1) | (np.bincount(of[N_k < 0], minlength=K.size) > 0)
            | (np.bincount(of[N_k > 0], minlength=K.size) != K_plus))
@@ -103,34 +117,113 @@ def parse_draws(path):
     return Draws(iters, K, K_plus, eta[:end], mu[:end], Sigma, N_k, None)
 
 
+# the characters of a block of assignment rows that np.loadtxt reads
+# as Python's int() does; a block with any other goes row by row
+_PLAIN = b"0123456789+- \t,\r\n"
+_BLANK = ("\n", "\r\n", "\r")       # lines csv reads as no row
+
+
+def _assignments_width(path, fh):
+    """Fields a row of the assignments file fh has, read off its header."""
+    header = next((row for row in csv.reader(fh) if row), None)
+    if header is None or header[0].strip() != "iter":
+        raise UnreadableInputError(f"{path}: not an assignments file")
+    if len(header) < 2:
+        raise UnreadableInputError(f"{path}: no assignment columns")
+    return len(header)
+
+
 def parse_assignments(path, draws):
     """Fill draws.S from an assignments file, matching on iteration index.
 
-    The labels are read straight into label_dtype(draws.K.max()), so a
-    label too large for that type lies outside 1..K as well.
+    The labels land in label_dtype(draws.K.max()), so a label too large
+    for that type lies outside 1..K as well. Rows for iterations the
+    draws lack are skipped; a second row for one of theirs exits 2.
+
+    The rows are read in blocks of lines whose int64 copy is no larger
+    than the label table (T / 8 rows for int8 labels): np.loadtxt parses
+    a block of plain integer text in C, and the block is checked and
+    narrowed into the table. A block with any other character, or one
+    that fails to parse or to check, is read again row by row through
+    the csv module, which raises the error of its first bad row.
     """
     row_of = {it: t for t, it in enumerate(draws.iter.tolist())}
     outside = f"{path}: a label lies outside 1..K"
-    with _csv_rows(path) as (header, rows):
-        if header is None or header[0].strip() != "iter":
-            raise UnreadableInputError(f"{path}: not an assignments file")
-        if len(header) < 2:
-            raise UnreadableInputError(f"{path}: no assignment columns")
-        S = np.empty((len(draws), len(header) - 1),
-                     dtype=label_dtype(int(draws.K.max())))
-        seen = np.zeros(len(draws), dtype=bool)
-        for lineno, row in enumerate(rows, start=2):
-            if len(row) != len(header):
+    dtype = label_dtype(int(draws.K.max()))
+    seen = np.zeros(len(draws), dtype=bool)
+    lineno = 2
+
+    def store(rows):
+        """Read csv rows into S one at a time, in file order."""
+        nonlocal lineno
+        for row in rows:
+            if len(row) != width:
                 raise UnreadableInputError(
                     f"{path}: line {lineno} has {len(row)} fields, "
-                    f"expected {len(header)}")
-            t = row_of.get(int(row[0]))
+                    f"expected {width}")
+            it = int(row[0])
+            t = row_of.get(it)
             if t is not None:
+                if seen[t]:
+                    raise UnreadableInputError(
+                        f"{path}: iteration {it} has a second assignment "
+                        f"row (line {lineno})")
                 try:
                     S[t] = row[1:]
                 except OverflowError:
                     raise UnreadableInputError(outside) from None
                 seen[t] = True
+            lineno += 1
+
+    def load(lines):
+        """Read a block of lines into S through np.loadtxt; False, with
+        nothing stored, unless that reads it as `store` would."""
+        nonlocal lineno
+        if any(line.encode().translate(None, _PLAIN) for line in lines):
+            return False
+        body = [line for line in lines if line not in _BLANK]
+        if not body:
+            return True
+        try:
+            block = np.loadtxt(body, dtype=np.int64, delimiter=",",
+                               comments=None, ndmin=2)
+        except (ValueError, OverflowError):
+            return False
+        if block.shape != (len(body), width):
+            return False
+        t = np.array([row_of.get(it, -1) for it in block[:, 0].tolist()],
+                     dtype=np.intp)
+        labels = block[:, 1:]
+        if t.min() < 0:
+            labels, t = labels[t >= 0], t[t >= 0]
+        limits = np.iinfo(dtype)
+        if ((np.bincount(t, minlength=seen.size) + seen).max() > 1
+                or labels.size and (labels.min() < limits.min
+                                    or labels.max() > limits.max)):
+            return False
+        S[t] = labels
+        seen[t] = True
+        lineno += len(body)
+        return True
+
+    def rows_from(lines, fh):
+        """The non-blank csv rows that start in lines; the last may run
+        on into fh."""
+        reader = csv.reader(itertools.chain(lines, fh))
+        while reader.line_num < len(lines):
+            row = next(reader, None)
+            if row is None:
+                return
+            if row:
+                yield row
+
+    with _reading(path) as fh:
+        width = _assignments_width(path, fh)
+        S = np.empty((len(draws), width - 1), dtype=dtype)
+        step = max(1, S.nbytes // (8 * width))
+        while lines := list(itertools.islice(fh, step)):
+            if not load(lines):
+                store(rows_from(lines, fh))
     if not seen.all():
         raise UnreadableInputError(f"{path}: no assignment row for iteration "
                                    f"{draws.iter[~seen][0]}")

@@ -119,6 +119,7 @@ def _lloyd(points, centers, work):
         # revive empty clusters from the point farthest from its own center,
         # donating only from clusters that keep at least one member
         counts = np.bincount(new_labels, minlength=k)
+        revived = False
         for j in np.flatnonzero(counts == 0):
             donors = counts[new_labels] >= 2
             if not np.any(donors):
@@ -129,7 +130,12 @@ def _lloyd(points, centers, work):
             counts[j] = 1
             new_labels[far] = j
             d2own[far] = 0.0
+            revived = True
         if np.array_equal(new_labels, labels):
+            if not revived:
+                # the centers are those this step assigned to, so a
+                # last _assign would give the same labels and distances
+                return centers, new_labels, float(d2own.sum())
             break
         labels = new_labels
         # every center is its cluster's mean: a bincount per column adds

@@ -7,6 +7,14 @@ Turns raw sweeps into an identified model and point partitions:
 3. summarize the relabeled draws and extract point partitions
    (marginal mode and minimum expected variation of information),
 4. score partitions against a reference (adjusted Rand, misclassification).
+
+The VI search counts one contingency table per pair of its U distinct
+candidates over the D distinct columns (label profiles) of the candidate
+block, D <= N observations: O(U^2 D) work. Draws repeat most
+observations' profiles where clusters are well separated: a bench
+synth-n4000 chain has D = 217 of N = 4000 at 100 candidates, while the
+diabetes chains keep D at 119-141 of 145 and are counted column by
+column (_expected_vi).
 """
 
 from dataclasses import dataclass
@@ -273,6 +281,22 @@ def _canonical_rows(S):
     return out
 
 
+def _distinct_rows(block):
+    """First index of each distinct row of a 2-D block, ascending, and
+    how many rows equal it.
+
+    Rows are keyed by their bytes in one dict, so equal rows are found
+    without sorting the block; the first indices come in order of first
+    appearance.
+    """
+    block = np.ascontiguousarray(block)
+    keys = block.view(np.dtype((np.void, block.shape[1] * block.itemsize)))
+    first = {}
+    return np.unique([first.setdefault(key, i)
+                      for i, key in enumerate(keys.ravel().tolist())],
+                     return_counts=True)
+
+
 def _expected_vi(labels, weights):
     """Weighted VI distance from each row of canonical labels to the others.
 
@@ -282,21 +306,42 @@ def _expected_vi(labels, weights):
     so that neither a chunk's codes nor its counts take more bytes than
     labels unless one row or table does. Codes are widened from the
     label type first: m_i * offset leaves it.
+
+    Observations with the same column of labels (the same profile) fall
+    in the same cell of every table. When the block has at most n / 2
+    distinct columns, D of them, each is counted once, weighted by its
+    multiplicity: O(U^2 D) work in place of O(U^2 n). The weighted
+    counts are the same integers (sums of integers below 2^53), and the
+    chunks are those of the full block, so the scores are the same bits.
+    A weighted count over all n columns ran 7-45% slower than the plain
+    count on the diabetes chains, hence the n / 2 cut.
     """
     U, n = labels.shape
     p = np.arange(n + 1) / n
     plogp = p * np.log(p, out=np.zeros_like(p), where=p > 0)
+    rows = max(1, labels.nbytes // (8 * n))
+    cells = max(1, labels.nbytes // 8)
+    profiles, mult = _distinct_rows(labels.T)
+    if 2 * profiles.size <= n:
+        labels = labels[:, profiles]
+        # one weight per code of a chunk of at most `rows` rows
+        tiled = np.tile(mult.astype(float), rows)
+
+        def count(codes):
+            return np.bincount(codes.ravel(),
+                               tiled[:codes.size]).astype(np.intp)
+    else:
+        def count(codes):
+            return np.bincount(codes.ravel())
 
     def entropies(codes, starts):
-        return -np.add.reduceat(plogp[np.bincount(codes.ravel())], starts)
+        return -np.add.reduceat(plogp[count(codes)], starts)
 
     m = labels.max(axis=1).astype(np.int64) + 1
     start = np.concatenate(([0], np.cumsum(m)))
     wide = np.int32 if start[-1] <= np.iinfo(np.int32).max else np.int64
     offset = start[:-1]
     flat = np.add(labels, offset[:, None], dtype=wide)
-    rows = max(1, labels.nbytes // (8 * n))
-    cells = max(1, labels.nbytes // 8)
     H = np.concatenate([
         entropies(flat[a:a + rows] - start[a], offset[a:a + rows] - start[a])
         for a in range(0, U, rows)])
@@ -324,7 +369,9 @@ def vi_partition(S, thin_to=2000):
     thin_to, duplicate partitions collapse to one candidate weighted by
     multiplicity, and every candidate is scored exactly against the
     weighted set (Wade & Ghahramani 2018), with O(U) numpy calls for U
-    candidates. Ties go to the earliest candidate.
+    candidates and O(U^2 D) counting work, D <= N being the number of
+    distinct columns of the candidates (_expected_vi). Ties go to the
+    earliest candidate.
     """
     S = np.asarray(S)
     if S.ndim != 2 or S.shape[0] < 2:
@@ -332,11 +379,9 @@ def vi_partition(S, thin_to=2000):
     T = S.shape[0]
     if T > thin_to:
         S = S[np.linspace(0, T - 1, thin_to).astype(int)]
-    uniq, first_idx, weights = np.unique(_canonical_rows(S), axis=0,
-                                         return_index=True,
-                                         return_counts=True)
-    order = np.argsort(first_idx, kind="stable")
-    uniq, weights = uniq[order], weights[order]
+    canon = _canonical_rows(S)
+    first, weights = _distinct_rows(canon)
+    uniq = canon[first]
     best = uniq[int(np.argmin(_expected_vi(uniq, weights)))].astype(int)
     return Partition(labels=best + 1, n_groups=int(best.max()) + 1)
 

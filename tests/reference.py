@@ -4,10 +4,13 @@ Each function computes one quantity the direct way: one observation, one
 draw, one cluster or one pair of partitions at a time.
 """
 
+import csv
+
 import numpy as np
 from scipy.special import gammaln
 
 from bgmix import distributions as dist
+from bgmix.sampler import label_dtype
 
 
 def sample_wishart(alpha, V, rng):
@@ -128,6 +131,65 @@ def expected_vi_scores(candidates, weights):
             scores[i] += weights[j] * d
             scores[j] += weights[i] * d
     return scores
+
+
+def expected_vi_by_column(labels, weights):
+    """Weighted VI distance from each row of canonical labels to the
+    others, with every contingency table counted over all n columns.
+
+    The chunked counts bgmix.postprocess used before it grouped equal
+    columns: cell a_i + m_i * (b_j + offset of row j) counts the pair
+    (a_i, b_j), rows j in the chunks the library still uses, so the
+    scores add in the same order.
+    """
+    U, n = labels.shape
+    p = np.arange(n + 1) / n
+    plogp = p * np.log(p, out=np.zeros_like(p), where=p > 0)
+
+    def entropies(codes, starts):
+        return -np.add.reduceat(plogp[np.bincount(codes.ravel())], starts)
+
+    m = labels.max(axis=1).astype(np.int64) + 1
+    start = np.concatenate(([0], np.cumsum(m)))
+    wide = np.int32 if start[-1] <= np.iinfo(np.int32).max else np.int64
+    offset = start[:-1]
+    flat = np.add(labels, offset[:, None], dtype=wide)
+    rows = max(1, labels.nbytes // (8 * n))
+    cells = max(1, labels.nbytes // 8)
+    H = np.concatenate([
+        entropies(flat[a:a + rows] - start[a], offset[a:a + rows] - start[a])
+        for a in range(0, U, rows)])
+    scores = np.zeros(U)
+    for i in range(U - 1):
+        shift = labels[i].astype(np.intp)
+        j = i + 1
+        while j < U:
+            ends = m[i] * (start[j + 1:j + 1 + rows] - start[j])
+            stop = j + max(1, int(np.searchsorted(ends, cells, side="right")))
+            codes = np.multiply(flat[j:stop], m[i], dtype=np.intp)
+            codes += shift - m[i] * start[j]
+            joint = entropies(codes, m[i] * (start[j:stop] - start[j]))
+            d = 2.0 * joint - H[i] - H[j:stop]
+            scores[i] += weights[j:stop] @ d
+            scores[j:stop] += weights[i] * d
+            j = stop
+    return scores
+
+
+def assignment_table(path, draws):
+    """The 0-based labels of an assignments file in the draws' row order,
+    converted one csv row at a time; rows for other iterations are
+    skipped."""
+    row_of = {it: t for t, it in enumerate(draws.iter.tolist())}
+    with open(path, newline="") as fh:
+        header, *rows = [row for row in csv.reader(fh) if row]
+    S = np.empty((len(draws), len(header) - 1),
+                 dtype=label_dtype(int(draws.K.max())))
+    for row in rows:
+        t = row_of.get(int(row[0]))
+        if t is not None:
+            S[t] = row[1:]
+    return S - 1
 
 
 def log_partition_given_k(K, N_k, gamma_K):

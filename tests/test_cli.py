@@ -7,6 +7,7 @@ import os
 import shutil
 import subprocess
 import sys
+import tracemalloc
 from concurrent.futures import Future
 
 import numpy as np
@@ -19,6 +20,7 @@ from bgmix.cli import (ConfigError, UnreadableInputError, load_dataset,
 from bgmix.model import (ChainConfig, DynamicGamma, FixedGamma, FixedK,
                          RandomK, build_default_prior)
 from bgmix.sampler import SamplerError, run_chain
+from reference import assignment_table
 
 
 DIABETES_PATH = os.path.join(os.path.dirname(__file__), os.pardir, "data",
@@ -675,6 +677,105 @@ class TestIdentifyCommand:
                    "--out", str(tmp_path / "ident")])
         assert rc == 5
         assert "--store-assignments" in capsys.readouterr().err
+
+
+def _rewrite(src, dst, edit, newline="\n"):
+    """Write src's lines, as edit(lines) returns them, to dst."""
+    with open(src) as fh:
+        lines = edit(fh.read().splitlines())
+    with open(dst, "w", newline="") as fh:
+        fh.write(newline.join(lines) + newline)
+    return str(dst)
+
+
+class TestAssignmentsReader:
+    """parse_assignments reads blocks of lines with np.loadtxt and reads a
+    block row by row when that fails; either way it must give the table
+    a row-by-row conversion gives."""
+
+    @pytest.mark.parametrize("edit, newline", [
+        (lambda lines: lines, "\n"),
+        (lambda lines: ["", lines[0], "", *lines[1:50], "", "",
+                        *lines[50:], ""], "\n"),
+        (lambda lines: lines, "\r\n"),
+        (lambda lines: [lines[0], "-3," + lines[1].split(",", 1)[1],
+                        *lines[1:100], "1000000," + ",".join(
+                            ["x"] * (len(lines[0].split(",")) - 1)),
+                        *lines[100:], "7777," + lines[5].split(",", 1)[1]],
+         "\n"),
+    ], ids=["plain", "blank-lines", "crlf", "other-iterations"])
+    def test_same_table_as_row_by_row(self, fit_dir, tmp_path, edit,
+                                      newline):
+        path = _rewrite(os.path.join(fit_dir, "assignments.csv"),
+                        tmp_path / "assignments.csv", edit, newline)
+        draws = parse_draws(os.path.join(fit_dir, "draws.csv"))
+        want = assignment_table(path, draws)
+        got = artifacts.parse_assignments(path, draws).S
+        assert got.dtype == want.dtype == np.int8
+        assert got.tobytes() == want.tobytes()
+        # 300 rows of 40 labels: blocks of 300 * 40 // (8 * 41) = 36 rows
+        assert got.shape == (300, 40)
+
+    def test_memory_is_the_table_and_one_block(self, fit_dir, tmp_path):
+        """300 rows of 4000 int8 labels (1.2 MB) come in blocks of 37
+        rows, whose int64 copy is 1.18 MB and whose text 0.3 MB; the
+        bound leaves half a block for what np.loadtxt holds while it
+        fills the copy (0.4 MB measured). The file as one int64 array
+        would take 9.6 MB."""
+        draws = parse_draws(os.path.join(fit_dir, "draws.csv"))
+        T, n = len(draws), 4000
+        labels = np.random.default_rng(17).integers(1, 3, (T, n))
+        path = str(tmp_path / "wide.csv")
+        with open(path, "w") as fh:
+            fh.write("iter," + ",".join(f"s_{i + 1}" for i in range(n))
+                     + "\n")
+            for it, row in zip(draws.iter.tolist(), labels.tolist()):
+                fh.write(f"{it}," + ",".join(map(str, row)) + "\n")
+        step = T * n // (8 * (n + 1))
+        block = step * (n + 1) * 8 + step * 2 * n
+        tracemalloc.start()
+        try:
+            S = artifacts.parse_assignments(path, draws).S
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        np.testing.assert_array_equal(S, labels - 1)
+        assert peak < S.nbytes + 1.5 * block, (
+            f"peak {peak / 1e6:.2f} MB, table {S.nbytes / 1e6:.2f} MB, "
+            f"block {block / 1e6:.2f} MB")
+
+    @pytest.mark.parametrize("where", ["next", "last"])
+    def test_second_row_for_an_iteration_exits_2(self, fit_dir, tmp_path,
+                                                 capsys, where):
+        """Iteration 100's row again, its first label changed: next to
+        it (one block) or at the end of the file (another)."""
+        def edit(lines):
+            again = lines[1].split(",")
+            again[1] = "2" if again[1] == "1" else "1"
+            at = 2 if where == "next" else len(lines)
+            return lines[:at] + [",".join(again)] + lines[at:]
+
+        path = _rewrite(os.path.join(fit_dir, "assignments.csv"),
+                        tmp_path / "assignments.csv", edit)
+        rc = main(["identify", os.path.join(fit_dir, "draws.csv"),
+                   "--assignments", path, "--out", str(tmp_path)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: iteration 100 has a second "
+                              f"assignment row")
+        assert err.count("\n") == 1
+
+    def test_repeated_draws_iteration_exits_2(self, fit_dir, tmp_path,
+                                              capsys):
+        path = _rewrite(os.path.join(fit_dir, "draws.csv"),
+                        tmp_path / "draws.csv",
+                        lambda lines: lines[:3] + lines[2:])
+        shutil.copy(os.path.join(fit_dir, "assignments.csv"), tmp_path)
+        rc = main(["identify", path, "--out", str(tmp_path)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err == (f"error: {path}: iteration 101 has more than one "
+                       f"row\n")
 
 
 class TestCommandLine:

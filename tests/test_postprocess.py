@@ -11,14 +11,14 @@ from bgmix.model import (ChainConfig, Dataset, DynamicGamma, FixedGamma,
                          FixedK, RandomK, build_default_prior)
 from bgmix.postprocess import (ConfusionResult, EmptySelectionError,
                                FilteredDraws, IdentificationError, Partition,
-                               _canonical_rows, _expected_vi, ari,
-                               coallocation_matrix, confusion_and_mcr,
+                               _canonical_rows, _distinct_rows, _expected_vi,
+                               ari, coallocation_matrix, confusion_and_mcr,
                                filter_to_kplus, kplus_distribution,
                                map_partition, posterior_summary,
                                ppr_identify, vi_partition)
 from bgmix.sampler import ChainOutput, Draws, run_chain
-from reference import (canonical_rows, expected_vi_scores,
-                       variation_of_information)
+from reference import (canonical_rows, expected_vi_by_column,
+                       expected_vi_scores, variation_of_information)
 
 
 def _rec(it, eta, N_k, S=None, mu=None):
@@ -429,6 +429,84 @@ class TestViPartition:
         crossed = np.array([[0, 0, 1, 1], [0, 1, 0, 1]])
         np.testing.assert_allclose(_expected_vi(crossed, np.ones(2)),
                                    2 * np.log(2), rtol=1e-12)
+
+
+def _candidates(S):
+    """The distinct canonical rows of S in order of first appearance, and
+    their counts, through np.unique over the rows."""
+    canon = _canonical_rows(S)
+    uniq, first, weights = np.unique(canon, axis=0, return_index=True,
+                                     return_counts=True)
+    order = np.argsort(first, kind="stable")
+    return uniq[order], weights[order]
+
+
+class TestProfileCounts:
+    """_expected_vi counts each distinct column once, weighted, when there
+    are at most n / 2 of them: the scores must be the bits of the count
+    over all n columns."""
+
+    @staticmethod
+    def _block(rng, U, D, n, groups=6):
+        """U rows over n columns with exactly D distinct columns."""
+        profiles = rng.integers(0, groups, (U, D))
+        while np.unique(profiles.T, axis=0).shape[0] < D:
+            profiles = rng.integers(0, groups, (U, D))
+        cols = np.concatenate([np.arange(D), rng.integers(0, D, n - D)])
+        return profiles[:, rng.permutation(cols)]
+
+    @pytest.mark.parametrize("U, D, n", [
+        (40, 12, 3000),       # D << n, many repeats of each column
+        (30, 100, 200),       # D = n / 2: grouped
+        (30, 101, 200),       # D just above n / 2: column by column
+        (25, 99, 200),        # just below
+    ])
+    def test_scores_are_the_column_count_bits(self, U, D, n):
+        rng = np.random.default_rng(U * D + n)
+        uniq, weights = _candidates(self._block(rng, U, D, n))
+        assert _distinct_rows(uniq.T)[0].size == D
+        assert uniq.shape[0] > 2
+        np.testing.assert_array_equal(_expected_vi(uniq, weights),
+                                      expected_vi_by_column(uniq, weights))
+
+    def test_random_labels_have_every_column_distinct(self):
+        """synth-n4000's shape with random labels, as in the memory test:
+        D = n, so nothing is grouped."""
+        rng = np.random.default_rng(15)
+        S = rng.integers(0, 8, (100, 4000)).astype(np.int8)
+        uniq, weights = _candidates(S)
+        assert _distinct_rows(uniq.T)[0].size == 4000
+        np.testing.assert_array_equal(_expected_vi(uniq, weights),
+                                      expected_vi_by_column(uniq, weights))
+
+    def test_int8_and_int64_labels(self):
+        """Over 64 groups, so the codes leave int8; the int8 and int64
+        blocks split their rows j into other chunks, so each is checked
+        against the column count of its own type."""
+        rng = np.random.default_rng(16)
+        S = self._block(rng, 30, 150, 2000, groups=90).astype(np.int8)
+        uniq, weights = _candidates(S)
+        assert uniq.max() >= 64 and uniq.dtype == np.int8
+        assert _distinct_rows(uniq.T)[0].size == 150
+        for block in (uniq, uniq.astype(np.int64)):
+            np.testing.assert_array_equal(
+                _expected_vi(block, weights),
+                expected_vi_by_column(block, weights))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_distinct_rows_match_unique(self, seed):
+        """The candidates vi_partition keeps: the rows and weights of
+        np.unique(axis=0) put in order of first appearance."""
+        rng = np.random.default_rng(seed)
+        T, n = int(rng.integers(2, 60)), int(rng.integers(1, 30))
+        S = rng.integers(0, 3, (T, n)).astype(np.int8)
+        S = S[rng.integers(0, T, 2 * T)]          # repeated rows
+        canon = _canonical_rows(S)
+        first, weights = _distinct_rows(canon)
+        uniq, want_weights = _candidates(S)
+        assert canon[first].tobytes() == uniq.tobytes()
+        np.testing.assert_array_equal(weights, want_weights)
+        assert (np.diff(first) > 0).all()
 
 
 class TestNarrowLabels:
