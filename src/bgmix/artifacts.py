@@ -10,6 +10,7 @@ import hashlib
 import itertools
 import json
 import os
+import re
 from contextlib import contextmanager
 
 import numpy as np
@@ -80,19 +81,23 @@ def parse_draws(path):
         columns = (np.empty(0), np.empty((0, r)), np.empty((0, il.size)),
                    np.empty(0, dtype=int))
         for row in rows:
-            K = int(row[1])
-            need = 3 + K * (2 + r + il.size)
-            if len(row) != need:
+            try:
+                K = int(row[1])
+                need = 3 + K * (2 + r + il.size)
+                if len(row) != need:
+                    raise UnreadableInputError(
+                        f"{path}: row iter={row[0]} has {len(row)} fields, "
+                        f"needs {need} for K={K}")
+                lead.append((int(row[0]), K, int(row[2])))
+                start, end = end, end + K
+                eta, mu, tri, N_k = columns = grow(columns, end)
+                vals = np.array(row[3:need - K], dtype=float)
+                eta[start:end], N_k[start:end] = vals[:K], row[need - K:]
+                mu[start:end] = vals[K:K + K * r].reshape(K, r)
+                tri[start:end] = vals[K + K * r:].reshape(K, il.size)
+            except (ValueError, OverflowError, IndexError) as exc:
                 raise UnreadableInputError(
-                    f"{path}: row iter={row[0]} has {len(row)} fields, "
-                    f"needs {need} for K={K}")
-            lead.append((int(row[0]), K, int(row[2])))
-            start, end = end, end + K
-            eta, mu, tri, N_k = columns = grow(columns, end)
-            vals = np.array(row[3:need - K], dtype=float)
-            eta[start:end], N_k[start:end] = vals[:K], row[need - K:]
-            mu[start:end] = vals[K:K + K * r].reshape(K, r)
-            tri[start:end] = vals[K + K * r:].reshape(K, il.size)
+                    f"{path}: row iter={row[0]} is malformed: {exc}") from None
     if not lead:
         raise UnreadableInputError(f"{path}: no draws found")
     try:
@@ -117,118 +122,78 @@ def parse_draws(path):
     return Draws(iters, K, K_plus, eta[:end], mu[:end], Sigma, N_k, None)
 
 
-# the characters of a block of assignment rows that np.loadtxt reads
-# as Python's int() does; a block with any other goes row by row
-_PLAIN = b"0123456789+- \t,\r\n"
-_BLANK = ("\n", "\r\n", "\r")       # lines csv reads as no row
-
-
-def _assignments_width(path, fh):
-    """Fields a row of the assignments file fh has, read off its header."""
-    header = next((row for row in csv.reader(fh) if row), None)
+def _assignments_header(path, fh):
+    """The fields of a row of fh, off its header, and the header's end line."""
+    reader = csv.reader(fh)
+    header = next((row for row in reader if row), None)
     if header is None or header[0].strip() != "iter":
         raise UnreadableInputError(f"{path}: not an assignments file")
     if len(header) < 2:
         raise UnreadableInputError(f"{path}: no assignment columns")
-    return len(header)
+    return len(header), reader.line_num
 
 
 def parse_assignments(path, draws):
     """Fill draws.S from an assignments file, matching on iteration index.
 
-    The labels land in label_dtype(draws.K.max()), so a label too large
-    for that type lies outside 1..K as well. Rows for iterations the
-    draws lack are skipped; a second row for one of theirs exits 2.
-
-    The rows are read in blocks of lines whose int64 copy is no larger
-    than the label table (T / 8 rows for int8 labels): np.loadtxt parses
-    a block of plain integer text in C, and the block is checked and
-    narrowed into the table. A block with any other character, or one
-    that fails to parse or to check, is read again row by row through
-    the csv module, which raises the error of its first bad row.
+    Python reads each line's field count and iteration, skips the rows of
+    iterations the draws lack unparsed, and rejects a second row for one
+    of theirs. One np.loadtxt call per block of lines (T / 8 for T draws
+    and int8 labels, so a block's text stays a fraction of the table)
+    parses the kept labels straight into label_dtype(draws.K.max()). A
+    label too large for that type or not a plain integer (quoted, say;
+    `write_assignments` never quotes) is an error naming its line, like
+    one outside 1..K.
     """
     row_of = {it: t for t, it in enumerate(draws.iter.tolist())}
-    outside = f"{path}: a label lies outside 1..K"
     dtype = label_dtype(int(draws.K.max()))
-    seen = np.zeros(len(draws), dtype=bool)
-    lineno = 2
+    line_of = np.zeros(len(draws), dtype=np.int64)    # 0: no row read yet
 
-    def store(rows):
-        """Read csv rows into S one at a time, in file order."""
-        nonlocal lineno
-        for row in rows:
-            if len(row) != width:
-                raise UnreadableInputError(
-                    f"{path}: line {lineno} has {len(row)} fields, "
-                    f"expected {width}")
-            it = int(row[0])
-            t = row_of.get(it)
-            if t is not None:
-                if seen[t]:
-                    raise UnreadableInputError(
-                        f"{path}: iteration {it} has a second assignment "
-                        f"row (line {lineno})")
-                try:
-                    S[t] = row[1:]
-                except OverflowError:
-                    raise UnreadableInputError(outside) from None
-                seen[t] = True
-            lineno += 1
-
-    def load(lines):
-        """Read a block of lines into S through np.loadtxt; False, with
-        nothing stored, unless that reads it as `store` would."""
-        nonlocal lineno
-        if any(line.encode().translate(None, _PLAIN) for line in lines):
-            return False
-        body = [line for line in lines if line not in _BLANK]
-        if not body:
-            return True
-        try:
-            block = np.loadtxt(body, dtype=np.int64, delimiter=",",
-                               comments=None, ndmin=2)
-        except (ValueError, OverflowError):
-            return False
-        if block.shape != (len(body), width):
-            return False
-        t = np.array([row_of.get(it, -1) for it in block[:, 0].tolist()],
-                     dtype=np.intp)
-        labels = block[:, 1:]
-        if t.min() < 0:
-            labels, t = labels[t >= 0], t[t >= 0]
-        limits = np.iinfo(dtype)
-        if ((np.bincount(t, minlength=seen.size) + seen).max() > 1
-                or labels.size and (labels.min() < limits.min
-                                    or labels.max() > limits.max)):
-            return False
-        S[t] = labels
-        seen[t] = True
-        lineno += len(body)
-        return True
-
-    def rows_from(lines, fh):
-        """The non-blank csv rows that start in lines; the last may run
-        on into fh."""
-        reader = csv.reader(itertools.chain(lines, fh))
-        while reader.line_num < len(lines):
-            row = next(reader, None)
-            if row is None:
-                return
-            if row:
-                yield row
+    def outside(lineno):
+        return UnreadableInputError(f"{path}: line {lineno}: a label lies "
+                                    f"outside 1..K or is not an integer")
 
     with _reading(path) as fh:
-        width = _assignments_width(path, fh)
+        width, lineno = _assignments_header(path, fh)
         S = np.empty((len(draws), width - 1), dtype=dtype)
         step = max(1, S.nbytes // (8 * width))
         while lines := list(itertools.islice(fh, step)):
-            if not load(lines):
-                store(rows_from(lines, fh))
-    if not seen.all():
+            kept, rows = [], []
+            for lineno, line in enumerate(lines, start=lineno + 1):
+                if line in ("\n", "\r\n", "\r"):      # csv reads no row
+                    continue
+                if line.count(",") != width - 1:
+                    raise UnreadableInputError(
+                        f"{path}: line {lineno} has {line.count(',') + 1} "
+                        f"fields, expected {width}")
+                head, _, labels = line.partition(",")
+                try:
+                    t = row_of.get(int(head))
+                except ValueError:
+                    raise UnreadableInputError(f"{path}: line {lineno} has "
+                                               f"no integer iter") from None
+                if t is None:
+                    continue
+                if line_of[t]:
+                    raise UnreadableInputError(
+                        f"{path}: iteration {draws.iter[t]} has a second "
+                        f"assignment row (line {lineno})")
+                line_of[t] = lineno
+                kept.append(labels)
+                rows.append(t)
+            try:
+                if kept:
+                    S[rows] = np.loadtxt(kept, dtype=dtype, delimiter=",",
+                                         comments=None, ndmin=2)
+            except ValueError as exc:     # numpy names the row of kept
+                row = int(re.search(r"at row (\d+)", str(exc))[1])
+                raise outside(line_of[rows[row]]) from None
+    if not line_of.all():
         raise UnreadableInputError(f"{path}: no assignment row for iteration "
-                                   f"{draws.iter[~seen][0]}")
-    if S.min() < 1 or np.any(S > draws.K[:, None]):
-        raise UnreadableInputError(outside)
+                                   f"{draws.iter[line_of == 0][0]}")
+    bad = (S < 1).any(axis=1) | (S > draws.K[:, None]).any(axis=1)
+    if bad.any():
+        raise outside(line_of[bad].min())
     S -= 1
     draws.S = S
     return draws

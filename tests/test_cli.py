@@ -227,7 +227,10 @@ class TestFitCommand:
         (slice(-2, None), ["0", "0"]),    # every N_k zeroed
         (slice(-1, None), ["-1"]),        # a negative N_k
         (slice(1, None), ["0", "0"]),     # K = 0 and no slots
-    ], ids=["kplus-above-k", "zeroed-N", "negative-N", "K-zero"])
+        (slice(3, 4), ["x"]),             # an eta that is not a number
+        (slice(1, None), []),             # no K, K_plus or slots
+    ], ids=["kplus-above-k", "zeroed-N", "negative-N", "K-zero",
+            "eta-not-a-number", "iter-only"])
     def test_inconsistent_draws_row_exits_2(self, fit_dir, tmp_path, capsys,
                                             where, cells):
         with open(os.path.join(fit_dir, "draws.csv")) as fh:
@@ -259,33 +262,37 @@ class TestFitCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
 
-    @pytest.mark.parametrize("name, col, value, message", [
-        ("assignments", 1, "1" + "0" * 22, "a label lies outside 1..K"),
-        ("assignments", 1, "300", "a label lies outside 1..K"),
-        ("assignments", 1, "-129", "a label lies outside 1..K"),
-        ("assignments", slice(1, None), [], "no assignment columns"),
-        ("draws", 0, "1" + "0" * 22, "an iter or K_plus value lies outside "
-         "the 64-bit range"),
-        ("draws", 2, "1" + "0" * 22, "an iter or K_plus value lies outside "
-         "the 64-bit range"),
-        ("draws", -1, "1" + "0" * 22, "Python int too large"),
-    ], ids=["23-digit-label", "label-300", "label-minus-129",
-            "iter-column-only", "23-digit-iter", "23-digit-K_plus",
-            "23-digit-N_k"])
+    @pytest.mark.parametrize("name, row, col, value, message", [
+        ("assignments", 1, 1, "1" + "0" * 22, "a label lies outside 1..K"),
+        ("assignments", 1, 1, "300", "a label lies outside 1..K"),
+        ("assignments", 1, 1, "-129", "a label lies outside 1..K"),
+        ("assignments", 1, 1, "x", "line 2: a label lies outside 1..K"),
+        ("assignments", 40, 3, "x", "line 41: a label lies outside 1..K"),
+        ("assignments", 1, 1, '"2"', "line 2: a label lies outside 1..K"),
+        ("assignments", None, slice(1, None), [], "no assignment columns"),
+        ("draws", 1, 0, "1" + "0" * 22, "an iter or K_plus value lies "
+         "outside the 64-bit range"),
+        ("draws", 1, 2, "1" + "0" * 22, "an iter or K_plus value lies "
+         "outside the 64-bit range"),
+        ("draws", 1, -1, "1" + "0" * 22, "Python int too large"),
+    ], ids=["23-digit-label", "label-300", "label-minus-129", "label-x",
+            "label-x-second-block", "quoted-label", "iter-column-only",
+            "23-digit-iter", "23-digit-K_plus", "23-digit-N_k"])
     def test_integer_field_out_of_range_exits_2(self, fit_dir, tmp_path,
-                                                capsys, name, col, value,
-                                                message):
+                                                capsys, name, row, col,
+                                                value, message):
         """The fit has K = 2, so its labels are read as int8: a label that
-        does not fit lies outside 1..K like any other. A column slice is
-        cut from every line, the header too; a column index is set in the
-        first data row."""
+        does not fit, or is not a plain integer, lies outside 1..K like
+        any other, on the line that holds it. The cell is set in data row
+        `row` (file line row + 1), or cut from every line when row is
+        None. The assignments are read in blocks of 36 rows, so row 40
+        lies in the second."""
         paths = {}
         for kind in ("draws", "assignments"):
             with open(os.path.join(fit_dir, kind + ".csv")) as fh:
                 lines = fh.read().splitlines()
             if kind == name:
-                for i in (range(len(lines)) if isinstance(col, slice)
-                          else [1]):
+                for i in range(len(lines)) if row is None else [row]:
                     cells = lines[i].split(",")
                     cells[col] = value
                     lines[i] = ",".join(cells)
@@ -689,9 +696,9 @@ def _rewrite(src, dst, edit, newline="\n"):
 
 
 class TestAssignmentsReader:
-    """parse_assignments reads blocks of lines with np.loadtxt and reads a
-    block row by row when that fails; either way it must give the table
-    a row-by-row conversion gives."""
+    """parse_assignments checks each line's fields and iteration in Python
+    and parses the kept rows' labels with one np.loadtxt call per block
+    of lines; it must give the table a row-by-row conversion gives."""
 
     @pytest.mark.parametrize("edit, newline", [
         (lambda lines: lines, "\n"),
@@ -718,10 +725,10 @@ class TestAssignmentsReader:
 
     def test_memory_is_the_table_and_one_block(self, fit_dir, tmp_path):
         """300 rows of 4000 int8 labels (1.2 MB) come in blocks of 37
-        rows, whose int64 copy is 1.18 MB and whose text 0.3 MB; the
-        bound leaves half a block for what np.loadtxt holds while it
-        fills the copy (0.4 MB measured). The file as one int64 array
-        would take 9.6 MB."""
+        rows, whose text is 0.3 MB. The bound allows the table, a block's
+        text and an int64 copy of it (1.18 MB), and half a block more;
+        parsed straight into int8 the labels peak at 2.6 MB of the 3.4
+        MB it allows. The file as one int64 array would take 9.6 MB."""
         draws = parse_draws(os.path.join(fit_dir, "draws.csv"))
         T, n = len(draws), 4000
         labels = np.random.default_rng(17).integers(1, 3, (T, n))
@@ -743,6 +750,22 @@ class TestAssignmentsReader:
         assert peak < S.nbytes + 1.5 * block, (
             f"peak {peak / 1e6:.2f} MB, table {S.nbytes / 1e6:.2f} MB, "
             f"block {block / 1e6:.2f} MB")
+
+    @pytest.mark.parametrize("blank", [0, 2])
+    def test_field_count_error_names_the_file_line(self, fit_dir, tmp_path,
+                                                   capsys, blank):
+        """Line 6 (with two blank lines before the header, line 8) gets
+        an extra field; blank lines count as lines of the file."""
+        def edit(lines):
+            return [""] * blank + lines[:5] + [lines[5] + ",1"] + lines[6:]
+
+        path = _rewrite(os.path.join(fit_dir, "assignments.csv"),
+                        tmp_path / "assignments.csv", edit)
+        rc = main(["identify", os.path.join(fit_dir, "draws.csv"),
+                   "--assignments", path, "--out", str(tmp_path)])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"error: {path}: line {6 + blank} has 42 fields, expected 41\n")
 
     @pytest.mark.parametrize("where", ["next", "last"])
     def test_second_row_for_an_iteration_exits_2(self, fit_dir, tmp_path,
